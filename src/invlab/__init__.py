@@ -61,7 +61,6 @@ from .distances import (
     gap_term_separation,
     gap_term_separation_leading,
     kobayashi_distance,
-    lempert_function,
     localization_gap,
     localization_gap_halfdisc,
     mobius_halfplane,

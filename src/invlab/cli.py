@@ -23,6 +23,7 @@ from . import bergman as bergman_lab
 from . import distances, geodesics, localization, metrics, parsing, sampling, verify
 from .geometry import (
     Ball,
+    DimensionMismatchError,
     Domain,
     EmptyIntersectionError,
     HalfDiscScaled,
@@ -30,6 +31,7 @@ from .geometry import (
     UnitDisc,
     UnsupportedDomainError,
     dimension,
+    member_coords,
 )
 
 
@@ -92,15 +94,12 @@ def _parse_with(flag: str, parser, text: str):
 
 def _member_point(flag: str, domain: Domain, text: str) -> np.ndarray:
     pt = _parse_with(flag, parsing.parse_point, text)
-    from .geometry import contains
-
-    if len(pt) != dimension(domain):
-        raise FlagError(
-            flag, f"point has {len(pt)} coordinates, domain needs {dimension(domain)}"
-        )
-    if not contains(domain, pt):
+    try:
+        return member_coords(domain, pt)
+    except DimensionMismatchError as exc:
+        raise FlagError(flag, str(exc))
+    except MembershipError:
         raise FlagError(flag, f"point {text} lies outside the domain")
-    return pt
 
 
 def _write_text(path: str, text: str) -> None:
@@ -140,7 +139,6 @@ def cmd_distance(args, config: RunConfig) -> int:
     fn = {
         "k": distances.kobayashi_distance,
         "c": distances.caratheodory_distance,
-        "l": distances.lempert_function,
     }[args.which]
     try:
         value = fn(domain, z, w)
@@ -328,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--domain", required=True)
     d.add_argument("--z", required=True)
     d.add_argument("--w", required=True)
-    d.add_argument("--which", choices=["k", "c", "l", "gap"], default="k")
+    d.add_argument("--which", choices=["k", "c", "gap"], default="k")
     d.add_argument("--out", default=None)
 
     g = sub.add_parser("gap", help="half-disc localization gap decomposition")
@@ -383,10 +381,22 @@ COMMANDS = {
 }
 
 
+POINT_FLAGS = ("--z", "--w", "--X")
+
+
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Join each point flag to its value, so argparse cannot mistake a literal
+    such as -0.1+0.01i for a flag."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        out.append(f"{tok}={next(tokens, '')}" if tok in POINT_FLAGS else tok)
+    return out
+
+
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -48,9 +48,8 @@ from .geometry import (
     Product,
     UnitDisc,
     UnsupportedDomainError,
-    as_coords,
-    contains,
-    dimension,
+    max_over_factors,
+    member_coords,
 )
 
 OVERFLOW_EDGE = 1.0 - 1e-15
@@ -169,27 +168,25 @@ def gap_terms_batch(z, w):
     return t_boundary, t_separation
 
 
-def _ball_mobius(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ball automorphism sending a to 0, evaluated at x."""
-    na2 = float(np.sum(np.abs(a) ** 2))
-    if na2 == 0.0:
-        return -x
-    s = math.sqrt(max(0.0, 1.0 - na2))
-    ip = complex(np.sum(x * np.conj(a)))
-    proj = (ip / na2) * a
-    orth = x - proj
-    return (a - proj - s * orth) / (1.0 - ip)
-
-
 def ball_distance_batch(Z, W):
+    """Ball distances by the automorphism phi_z sending z to 0: m = |phi_z(w)|.
+
+    phi_z(w) = (z - P w - s (w - P w)) / (1 - <w, z>), with P the projection
+    onto z and s = sqrt(1 - |z|^2); rows with z = 0 use phi_0(w) = -w.
+    """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
-    m = np.array(
-        [float(np.linalg.norm(_ball_mobius(zz, ww))) for zz, ww in zip(Z, W)]
-    )
     nz2 = np.sum(np.abs(Z) ** 2, axis=1)
     nw2 = np.sum(np.abs(W) ** 2, axis=1)
     ip = np.sum(W * np.conj(Z), axis=1)
+    at_origin = nz2 == 0.0
+    safe = np.where(at_origin, 1.0, nz2)
+    # divide by the real |z|^2 part by part: numpy's complex division rounds
+    # through a reciprocal, and in C^1 w - P w cancels to the last bit
+    proj = (ip.real / safe + 1j * (ip.imag / safe))[:, None] * Z
+    s = np.sqrt(np.maximum(0.0, 1.0 - nz2))[:, None]
+    phi = (Z - proj - s * (W - proj)) / (1.0 - ip)[:, None]
+    m = np.linalg.norm(np.where(at_origin[:, None], -W, phi), axis=1)
     comp = (1.0 - nz2) * (1.0 - nw2) / np.abs(1.0 - ip) ** 2
     return _atanh_stable(m, comp)
 
@@ -202,40 +199,27 @@ def polydisc_distance_batch(Z, W, radii):
     return np.max(per, axis=1)
 
 
+def _first_coordinate(planar):
+    """Lift a planar batch distance (z, w) -> (m,) to (m, 1) coordinate arrays."""
+    return lambda Z, W: planar(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
+
+
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Batch distance evaluator for a catalog domain, (m,n)x(m,n) -> (m,)."""
     if isinstance(domain, UnitDisc):
-        return lambda Z, W: disc_distance_batch(
-            np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0]
-        )
+        return _first_coordinate(disc_distance_batch)
     if isinstance(domain, HalfPlane):
-        return lambda Z, W: halfplane_distance_batch(
-            np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0]
-        )
+        return _first_coordinate(halfplane_distance_batch)
     if isinstance(domain, HalfDiscScaled):
         r = domain.radius
-        return lambda Z, W: halfdisc_distance_batch(
-            np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0], r
-        )
+        return _first_coordinate(lambda z, w: halfdisc_distance_batch(z, w, r))
     if isinstance(domain, Ball):
         return ball_distance_batch
     if isinstance(domain, Polydisc):
         radii = domain.radii
         return lambda Z, W: polydisc_distance_batch(Z, W, radii)
     if isinstance(domain, Product):
-        subs = [distance_batch(f) for f in domain.factors]
-        dims = [dimension(f) for f in domain.factors]
-
-        def core(Z, W):
-            Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-            W = np.atleast_2d(np.asarray(W, dtype=complex))
-            vals, k = [], 0
-            for sub, d in zip(subs, dims):
-                vals.append(sub(Z[:, k : k + d], W[:, k : k + d]))
-                k += d
-            return np.max(np.stack(vals), axis=0)
-
-        return core
+        return max_over_factors(domain, distance_batch)
     raise UnsupportedDomainError(
         f"no closed-form distance for {type(domain).__name__}"
     )
@@ -244,13 +228,6 @@ def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndar
 # --------------------------------------------------------------------------
 # scalar operations (validated)
 # --------------------------------------------------------------------------
-
-def _require_member(domain: Domain, z: PointLike, name: str) -> np.ndarray:
-    coords = as_coords(z)
-    if not contains(domain, coords):
-        raise MembershipError(f"{name} = {coords.tolist()} is not in the domain")
-    return coords
-
 
 def mobius_halfplane(z: complex, w: complex) -> float:
     """The invariant ratio |z - w| / |z - conj w| for points of the upper half-plane."""
@@ -262,16 +239,11 @@ def mobius_halfplane(z: complex, w: complex) -> float:
 
 def kobayashi_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
     """Closed-form distance on a catalog domain; +inf marker past the overflow edge."""
-    zc = _require_member(domain, z, "z")
-    wc = _require_member(domain, w, "w")
+    zc = member_coords(domain, z, "z")
+    wc = member_coords(domain, w, "w")
     method = "pullback" if isinstance(domain, HalfDiscScaled) else "closed_form"
     value = float(distance_batch(domain)(zc[None, :], wc[None, :])[0])
     return DistanceValue(value, method)
-
-
-def lempert_function(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
-    """One-disc distance; coincides with the Kobayashi distance on the convex-like catalog."""
-    return kobayashi_distance(domain, z, w)
 
 
 def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
@@ -281,15 +253,15 @@ def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> Distanc
 
 def gap_term_boundary(z: complex, w: complex) -> float:
     """Gap term controlled by boundary proximity: it carries the factor Im z Im w."""
-    _require_member(HalfDiscScaled(1.0), z, "z")
-    _require_member(HalfDiscScaled(1.0), w, "w")
+    member_coords(HalfDiscScaled(1.0), z, "z")
+    member_coords(HalfDiscScaled(1.0), w, "w")
     return float(gap_terms_batch(complex(z), complex(w))[0])
 
 
 def gap_term_separation(z: complex, w: complex) -> float:
     """Gap term controlled by separation: -log(1 - |z-w|^2/|1 - z conj w|^2) / 2."""
-    _require_member(HalfDiscScaled(1.0), z, "z")
-    _require_member(HalfDiscScaled(1.0), w, "w")
+    member_coords(HalfDiscScaled(1.0), z, "z")
+    member_coords(HalfDiscScaled(1.0), w, "w")
     return float(gap_terms_batch(complex(z), complex(w))[1])
 
 
@@ -319,8 +291,8 @@ def localization_gap(z: complex, w: complex, radius: float = 1.0) -> GapDecompos
     rescale by 1/radius (the half-plane distance is scale invariant).
     """
     dom = HalfDiscScaled(radius)
-    _require_member(dom, z, "z")
-    _require_member(dom, w, "w")
+    member_coords(dom, z, "z")
+    member_coords(dom, w, "w")
     zs, ws = complex(z) / radius, complex(w) / radius
     tb, ts = (float(t) for t in gap_terms_batch(zs, ws))
     k_local = float(halfdisc_distance_batch(zs, ws))

@@ -15,8 +15,9 @@ Points and tangent vectors are stored as tuples of Python complex numbers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -89,25 +90,15 @@ PointLike = Union[ComplexPoint, complex, float, int, Sequence[complex]]
 VectorLike = Union[TangentVector, complex, float, int, Sequence[complex]]
 
 
-def as_coords(z: PointLike) -> np.ndarray:
-    """Coerce a point-like value to a 1-d complex array."""
+def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
+    """Coerce a point-like or vector-like value to a 1-d complex array."""
     if isinstance(z, ComplexPoint):
         return np.asarray(z.coords, dtype=complex)
+    if isinstance(z, TangentVector):
+        return np.asarray(z.components, dtype=complex)
     if isinstance(z, (complex, float, int)):
         return np.array([complex(z)], dtype=complex)
     return np.asarray([complex(c) for c in z], dtype=complex)
-
-
-def as_components(X: VectorLike) -> np.ndarray:
-    if isinstance(X, TangentVector):
-        return np.asarray(X.components, dtype=complex)
-    if isinstance(X, (complex, float, int)):
-        return np.array([complex(X)], dtype=complex)
-    return np.asarray([complex(c) for c in X], dtype=complex)
-
-
-def point(*coords: complex) -> ComplexPoint:
-    return ComplexPoint(tuple(coords))
 
 
 # --------------------------------------------------------------------------
@@ -164,11 +155,16 @@ class Product:
     """Cartesian product of catalog domains; coordinates split factor by factor."""
 
     factors: tuple["Domain", ...]
+    # coordinate slice of each factor; derived, so kept out of ==, hash and repr
+    # (moment tables and other caches key on the domain)
+    slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.factors) < 1:
             raise ValueError("a product needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
+        stops = tuple(accumulate(dimension(f) for f in self.factors))
+        object.__setattr__(self, "slices", tuple(map(slice, (0,) + stops[:-1], stops)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def dimension(domain: Domain) -> int:
     if isinstance(domain, Polydisc):
         return len(domain.radii)
     if isinstance(domain, Product):
-        return sum(dimension(f) for f in domain.factors)
+        return domain.slices[-1].stop
     if isinstance(domain, BallIntersection):
         return dimension(domain.base)
     if isinstance(domain, ReinhardtEllipsoid):
@@ -229,14 +225,32 @@ def dimension(domain: Domain) -> int:
     raise UnsupportedDomainError(f"unknown domain {domain!r}")
 
 
-def split_coords(domain: Product, coords: np.ndarray) -> list[np.ndarray]:
-    """Slice a coordinate array along the factors of a product domain."""
-    out, k = [], 0
-    for f in domain.factors:
-        d = dimension(f)
-        out.append(coords[k : k + d])
-        k += d
-    return out
+def max_over_factors(domain: Product, factor_core: Callable) -> Callable:
+    """Batch core (Z, X) -> (m,) of a product: the max over its factors of
+    ``factor_core(factor)`` on that factor's coordinate slice.
+
+    The distance and the Kobayashi density of a product are both this max.
+    """
+    parts = [(factor_core(f), s) for f, s in zip(domain.factors, domain.slices)]
+
+    def core(Z, X):
+        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+        X = np.atleast_2d(np.asarray(X, dtype=complex))
+        return np.max(np.stack([c(Z[:, s], X[:, s]) for c, s in parts]), axis=0)
+
+    return core
+
+
+def _norm(Z: np.ndarray) -> np.ndarray:
+    """Norm over the last axis, with the same operations for a point and for each
+    row of a batch (``np.linalg.norm`` sums a vector and matrix rows differently)."""
+    return np.sqrt(np.sum(Z.real**2 + Z.imag**2, axis=-1))
+
+
+def _modulus(Z: np.ndarray) -> np.ndarray:
+    """Entrywise |z| by hypot, as Python's ``abs`` computes it; numpy's complex
+    ``abs`` of an array may differ from that in the last bit."""
+    return np.hypot(Z.real, Z.imag)
 
 
 def _check_dim(domain: Domain, coords: np.ndarray) -> None:
@@ -257,29 +271,30 @@ def contains(domain: Domain, z: PointLike) -> bool:
     if isinstance(domain, HalfDiscScaled):
         return coords[0].imag > 0.0 and abs(coords[0]) < domain.radius
     if isinstance(domain, Ball):
-        return float(np.linalg.norm(coords)) < 1.0
+        return float(_norm(coords)) < 1.0
     if isinstance(domain, Polydisc):
         return all(abs(c) < r for c, r in zip(coords, domain.radii))
     if isinstance(domain, Product):
-        return all(
-            contains(f, part)
-            for f, part in zip(domain.factors, split_coords(domain, coords))
-        )
+        return all(contains(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
     if isinstance(domain, BallIntersection):
-        cap = np.linalg.norm(coords - as_coords(domain.center)) < domain.radius
+        cap = _norm(coords - as_coords(domain.center)) < domain.radius
         return bool(cap) and contains(domain.base, coords)
     if isinstance(domain, ReinhardtEllipsoid):
         return float(np.sum(np.abs(coords) ** (2 * np.asarray(domain.exponents)))) < 1.0
     raise UnsupportedDomainError(f"unknown domain {domain!r}")
 
 
+def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarray:
+    """The coordinates of z; MembershipError unless z lies in the open domain."""
+    coords = as_coords(z)
+    if not contains(domain, coords):
+        raise MembershipError(f"{name} {coords.tolist()} is not in the domain")
+    return coords
+
+
 def boundary_distance(domain: Domain, z: PointLike) -> float:
     """Euclidean distance from an interior point to the complement of the domain."""
-    coords = as_coords(z)
-    _check_dim(domain, coords)
-    if not contains(domain, coords):
-        raise MembershipError(f"point {coords.tolist()} is not in the domain")
-    return _delta(domain, coords)
+    return _delta(domain, member_coords(domain, z))
 
 
 def _delta(domain: Domain, coords: np.ndarray) -> float:
@@ -290,19 +305,14 @@ def _delta(domain: Domain, coords: np.ndarray) -> float:
     if isinstance(domain, HalfDiscScaled):
         return min(coords[0].imag, domain.radius - abs(coords[0]))
     if isinstance(domain, Ball):
-        return 1.0 - float(np.linalg.norm(coords))
+        return 1.0 - float(_norm(coords))
     if isinstance(domain, Polydisc):
         return min(r - abs(c) for c, r in zip(coords, domain.radii))
     if isinstance(domain, Product):
         # complement of a product is the union of "bad slab" cylinders
-        return min(
-            _delta(f, part)
-            for f, part in zip(domain.factors, split_coords(domain, coords))
-        )
+        return min(_delta(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
     if isinstance(domain, BallIntersection):
-        to_sphere = domain.radius - float(
-            np.linalg.norm(coords - as_coords(domain.center))
-        )
+        to_sphere = domain.radius - float(_norm(coords - as_coords(domain.center)))
         # exact for the convex-with-convex intersections in the catalog
         return min(_delta(domain.base, coords), to_sphere)
     if isinstance(domain, ReinhardtEllipsoid):
@@ -360,14 +370,12 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
 
 def _distance_to_closure(domain: Domain, coords: np.ndarray) -> float:
     """Euclidean distance from a point to the closed domain (0 if inside)."""
-    if contains(domain, coords):
-        return 0.0
     if isinstance(domain, HalfPlane):
         return max(0.0, -coords[0].imag)
     if isinstance(domain, UnitDisc):
         return max(0.0, abs(coords[0]) - 1.0)
     if isinstance(domain, Ball):
-        return max(0.0, float(np.linalg.norm(coords)) - 1.0)
+        return max(0.0, float(_norm(coords)) - 1.0)
     if isinstance(domain, Polydisc):
         gaps = [max(0.0, abs(c) - r) for c, r in zip(coords, domain.radii)]
         return float(np.hypot.reduce(gaps)) if len(gaps) > 1 else gaps[0]
@@ -392,26 +400,23 @@ def contains_batch(domain: Domain, Z: np.ndarray) -> np.ndarray:
     """Vectorized membership for a batch of points, shape (m, n) -> (m,) bools."""
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     if isinstance(domain, UnitDisc):
-        return np.abs(Z[:, 0]) < 1.0
+        return _modulus(Z[:, 0]) < 1.0
     if isinstance(domain, HalfPlane):
         return Z[:, 0].imag > 0.0
     if isinstance(domain, HalfDiscScaled):
-        return (Z[:, 0].imag > 0.0) & (np.abs(Z[:, 0]) < domain.radius)
+        return (Z[:, 0].imag > 0.0) & (_modulus(Z[:, 0]) < domain.radius)
     if isinstance(domain, Ball):
-        return np.linalg.norm(Z, axis=1) < 1.0
+        return _norm(Z) < 1.0
     if isinstance(domain, Polydisc):
-        return np.all(np.abs(Z) < np.asarray(domain.radii), axis=1)
+        return np.all(_modulus(Z) < np.asarray(domain.radii), axis=1)
     if isinstance(domain, Product):
-        ok = np.ones(Z.shape[0], dtype=bool)
-        k = 0
-        for f in domain.factors:
-            d = dimension(f)
-            ok &= contains_batch(f, Z[:, k : k + d])
-            k += d
-        return ok
+        return np.all(
+            [contains_batch(f, Z[:, s]) for f, s in zip(domain.factors, domain.slices)],
+            axis=0,
+        )
     if isinstance(domain, BallIntersection):
         c = as_coords(domain.center)
-        cap = np.linalg.norm(Z - c, axis=1) < domain.radius
+        cap = _norm(Z - c) < domain.radius
         return cap & contains_batch(domain.base, Z)
     if isinstance(domain, ReinhardtEllipsoid):
         p = np.asarray(domain.exponents)
@@ -424,8 +429,6 @@ def intersect_with_ball(
 ) -> Domain:
     """Cut a domain with an open ball; the half-plane cut at 0 normalizes to a half-disc."""
     c = ComplexPoint(tuple(as_coords(center)))
-    if radius <= 0:
-        raise ValueError("cap radius must be positive")
     if (
         isinstance(domain, HalfPlane)
         and c.coords == (0j,)

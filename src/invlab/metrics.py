@@ -40,11 +40,11 @@ from .geometry import (
     UnitDisc,
     UnsupportedDomainError,
     VectorLike,
-    as_components,
     as_coords,
-    contains,
     contains_batch,
     dimension,
+    max_over_factors,
+    member_coords,
 )
 
 INF = math.inf
@@ -61,11 +61,11 @@ class FinslerDensity:
     def evaluate(self, z: PointLike, X: VectorLike) -> float:
         """Scalar evaluation with membership validation."""
         zc = as_coords(z)
-        Xc = as_components(X)
+        Xc = as_coords(X)
         if len(zc) != len(Xc):
             raise MembershipError("point and vector dimensions differ")
-        if self.domain is not None and not contains(self.domain, zc):
-            raise MembershipError(f"point {zc.tolist()} is not in the domain")
+        if self.domain is not None:
+            member_coords(self.domain, zc)
         return float(self.core(zc[None, :], Xc[None, :])[0])
 
     def evaluate_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -142,19 +142,7 @@ def _kobayashi_core(domain: Domain) -> Callable:
 
         return core
     if isinstance(domain, Product):
-        slices, k = [], 0
-        cores = []
-        for f in domain.factors:
-            d = dimension(f)
-            slices.append(slice(k, k + d))
-            cores.append(_kobayashi_core(f))
-            k += d
-
-        def core(Z, X):
-            vals = [c(Z[:, s], X[:, s]) for c, s in zip(cores, slices)]
-            return np.max(np.stack(vals), axis=0)
-
-        return core
+        return max_over_factors(domain, _kobayashi_core)
     raise UnsupportedDomainError(
         f"no closed-form Kobayashi density for {type(domain).__name__}"
     )
@@ -221,7 +209,7 @@ def pullback(m: conformal.MapDescriptor, density: FinslerDensity) -> FinslerDens
         z = Z[:, 0]
         if src is not None:
             inside = contains_batch(src, Z)
-            zsafe = np.where(inside, z, _anchor(src))
+            zsafe = np.where(inside, z, 0.5j)  # inside every source domain of the catalog
         else:
             inside = np.ones(len(z), dtype=bool)
             zsafe = z
@@ -231,15 +219,6 @@ def pullback(m: conformal.MapDescriptor, density: FinslerDensity) -> FinslerDens
         return _masked(vals, inside)
 
     return FinslerDensity("pullback", src, core)
-
-
-def _anchor(domain: Domain) -> complex:
-    # any interior point, used to keep masked-out batch entries finite
-    if isinstance(domain, HalfPlane):
-        return 1j
-    if isinstance(domain, HalfDiscScaled):
-        return 0.5j * domain.radius
-    return 0j
 
 
 def custom_density(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invlab.geometry import (
@@ -24,6 +24,7 @@ from invlab.geometry import (
     dimension,
     intersect_with_ball,
 )
+from invlab.sampling import ball_points, halfplane_points
 
 
 def test_contains_examples():
@@ -141,6 +142,83 @@ def test_product_domain():
     assert contains(dom, (0.5, 1j))
     assert not contains(dom, (0.5, -1j))
     assert boundary_distance(dom, (0.5, 0.2j)) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_product_with_a_ball_factor_matches_its_factors():
+    ball, hp = Ball(2), HalfPlane()
+    dom = Product((ball, hp))
+    assert dimension(dom) == 3
+    # nearly half of the rows fall outside the ball, a sixth below the axis
+    pts = np.concatenate(
+        [
+            ball_points(71, 400, 2, 1.15),
+            halfplane_points(72, 400, im_range=(-0.4, 1.6))[:, None],
+        ],
+        axis=1,
+    )
+    inside = contains_batch(ball, pts[:, :2]) & contains_batch(hp, pts[:, 2:])
+    assert 0 < inside.sum() < len(pts)
+    assert np.array_equal(contains_batch(dom, pts), inside)
+    center, radius = np.array([0.1, -0.2j, 0.3 + 0.6j]), 0.8
+    cap = intersect_with_ball(dom, center, radius)
+    to_sphere = radius - np.linalg.norm(pts - center, axis=1)
+    assert np.array_equal(contains_batch(cap, pts), inside & (to_sphere > 0))
+    for p, ok, gap in zip(pts, inside, to_sphere):
+        assert contains(dom, p) == ok
+        assert contains(cap, p) == (ok and gap > 0)
+        if ok:
+            delta = min(boundary_distance(ball, p[:2]), boundary_distance(hp, p[2:]))
+            assert boundary_distance(dom, p) == delta
+            if gap > 0:
+                assert boundary_distance(cap, p) == pytest.approx(
+                    min(delta, gap), abs=1e-15
+                )
+
+
+# every catalog member with an interior anchor point
+MEMBERS = [
+    (UnitDisc(), (0j,)),
+    (HalfPlane(), (1j,)),
+    (HalfDiscScaled(0.7), (0.3j,)),
+    (Ball(2), (0j, 0j)),
+    (Ball(3), (0j, 0j, 0j)),
+    (Polydisc((1.0, 0.5)), (0j, 0j)),
+    (Product((Ball(2), HalfPlane())), (0j, 0j, 1j)),
+    (Product((UnitDisc(), HalfPlane())), (0j, 1j)),
+    (ReinhardtEllipsoid((1.0, 2.0)), (0j, 0j)),
+    (ReinhardtEllipsoid((0.75, 1.5, 3.0)), (0j, 0j, 0j)),
+    (intersect_with_ball(UnitDisc(), 0.5, 0.7), (0.5,)),
+    (intersect_with_ball(Ball(2), (0.5, 0.2j), 0.7), (0.5, 0.2j)),
+    (
+        intersect_with_ball(Product((Ball(2), HalfPlane())), (0.3, 0j, 0.2j), 0.8),
+        (0.3, 0j, 0.2j),
+    ),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, len(MEMBERS) - 1),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    offset=st.floats(-1e-12, 1e-12),
+)
+def test_scalar_and_batch_membership_agree_at_the_boundary(k, direction, offset):
+    dom, anchor = MEMBERS[k]
+    n = dimension(dom)
+    a = np.asarray(anchor, dtype=complex)
+    u = np.asarray(direction[:n]) + 1j * np.asarray(direction[n : 2 * n])
+    assume(np.linalg.norm(u) > 0.1)
+
+    def inside(t):
+        return bool(contains_batch(dom, (a + t * u)[None])[0])
+
+    lo, hi = 0.0, 4.0
+    assume(not inside(hi))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # to the batch predicate's flip
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    for t in (lo, hi, lo + offset):
+        p = a + t * u
+        assert contains(dom, p) == contains_batch(dom, p[None])[0]
 
 
 def test_ball_distance():

@@ -177,6 +177,18 @@ def test_product_density_is_max_of_factors():
         kobayashi_royden_density(HalfPlane(), 2j, 1.0),
     )
     assert val == pytest.approx(expected, abs=1e-15)
+    # a factor of dimension two; the last row leaves the ball and gives +inf
+    dom = Product((Ball(2), HalfPlane()))
+    Z = np.array([[0.3, -0.2j, 0.5 + 1j], [0.1j, 0.6, 0.01j], [0.9, 0.5, 1j]])
+    X = np.array([[1.0, 1j, 0.5], [0.2, -1.0, 1e-3], [1.0, 1.0, 1.0]])
+    got = kobayashi_density(dom).evaluate_batch(Z, X)
+    for z, x, g in zip(Z[:2], X[:2], got):
+        assert g == max(
+            kobayashi_royden_density(Ball(2), z[:2], x[:2]),
+            kobayashi_royden_density(HalfPlane(), z[2], x[2]),
+        )
+        assert kobayashi_royden_density(dom, z, x) == g
+    assert got[2] == math.inf
 
 
 def test_infinity_marker_propagates():

@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invlab
 from invlab import cli, conformal, geometry, parsing
+from invlab.distances import kobayashi_distance
 
 
 def test_parse_complex_examples():
@@ -82,6 +87,22 @@ def test_cli_distance(capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(0.5493061, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "domain, z, w, expected",
+    [
+        ("disc", "-0.1+0.01i", "0.25", (-0.1 + 0.01j, 0.25 + 0j)),
+        ("disc", "-0.5i", "0.25", (-0.5j, 0.25 + 0j)),
+        ("ball:n=2", "-0.1,-0.2i", "0.25,0", ((-0.1, -0.2j), (0.25, 0))),
+    ],
+)
+def test_cli_accepts_negative_literals(domain, z, w, expected, capsys):
+    # a literal after --z that starts with "-" must not be read as a flag
+    assert cli.run_command(["distance", "--domain", domain, "--z", z, "--w", w]) == 0
+    got = float(capsys.readouterr().out)
+    want = kobayashi_distance(parsing.parse_domain(domain), *expected).value
+    assert got == want
 
 
 def test_cli_gap_row(capsys):
@@ -294,6 +315,15 @@ def test_run_config_validation():
         cli.RunConfig(format="xml")
     with pytest.raises(ValueError):
         cli.RunConfig(tolerances={"bogus": 1.0})
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that need it, keeping it out of
+    # the start-up of every CLI call
+    src = os.path.dirname(os.path.dirname(invlab.__file__))
+    code = "import sys, invlab; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_thread_pool_keeps_results_identical(monkeypatch):
