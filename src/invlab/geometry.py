@@ -98,6 +98,8 @@ def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
         return np.asarray(z.components, dtype=complex)
     if isinstance(z, (complex, float, int)):
         return np.array([complex(z)], dtype=complex)
+    if isinstance(z, np.ndarray) and z.ndim == 1:  # coordinates already coerced once
+        return z.astype(complex)
     return np.asarray([complex(c) for c in z], dtype=complex)
 
 
@@ -244,7 +246,7 @@ def max_over_factors(domain: Product, factor_core: Callable) -> Callable:
 def _norm(Z: np.ndarray) -> np.ndarray:
     """Norm over the last axis, with the same operations for a point and for each
     row of a batch (``np.linalg.norm`` sums a vector and matrix rows differently)."""
-    return np.sqrt(np.sum(Z.real**2 + Z.imag**2, axis=-1))
+    return np.sqrt(np.add.reduce(Z.real**2 + Z.imag**2, axis=-1))
 
 
 def _modulus(Z: np.ndarray) -> np.ndarray:
