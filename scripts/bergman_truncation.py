@@ -7,9 +7,9 @@ where they exist.
 Usage: python scripts/bergman_truncation.py  (writes out/bergman_truncation.csv)
 """
 
+import logging
 import math
 import os
-import sys
 
 from invlab.bergman import bergman_kernel_diag, bergman_metric_numeric
 from invlab.geometry import Ball, ReinhardtEllipsoid, UnitDisc
@@ -25,11 +25,11 @@ STEP = 1e-3
 OUT = os.path.join("out", "bergman_truncation.csv")
 
 
-def log(msg):
-    print(msg, file=sys.stderr)
+log = logging.getLogger("invlab")
 
 
 def main():
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     os.makedirs("out", exist_ok=True)
     with open(OUT, "w") as fh:
         fh.write("case,N,kernel,tail,beta,kernel_exact,beta_exact\n")
@@ -51,8 +51,8 @@ def main():
                     )
                     + "\n"
                 )
-            log(f"{name:9s} N={N}: kernel={kr.kernel_diag:.10g} beta={beta:.8g}")
-    log(f"wrote {OUT}")
+            log.info(f"{name:9s} N={N}: kernel={kr.kernel_diag:.10g} beta={beta:.8g}")
+    log.info(f"wrote {OUT}")
 
 
 if __name__ == "__main__":

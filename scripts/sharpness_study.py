@@ -8,8 +8,8 @@ showing that neither additive term can be dropped.
 Usage: python scripts/sharpness_study.py  (writes out/sharpness.csv)
 """
 
+import logging
 import os
-import sys
 
 import numpy as np
 
@@ -20,11 +20,11 @@ T_GRID = np.geomspace(1e-4, 0.1, 25)
 OUT = os.path.join("out", "sharpness.csv")
 
 
-def log(msg):
-    print(msg, file=sys.stderr)
+log = logging.getLogger("invlab")
 
 
 def main():
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     rows = sharpness_sweep(T_GRID)
     os.makedirs("out", exist_ok=True)
     with open(OUT, "w") as fh:
@@ -46,11 +46,11 @@ def main():
             )
     for family in ("balanced", "drop-boundary", "drop-separation"):
         ratios = [r.ratio for r in rows if r.family == family]
-        log(
+        log.info(
             f"{family:16s} ratio range [{min(ratios):.4g}, {max(ratios):.4g}] "
             f"over t in [{T_GRID[0]:.1e}, {T_GRID[-1]:.1e}]"
         )
-    log(f"wrote {OUT} ({len(rows)} rows)")
+    log.info(f"wrote {OUT} ({len(rows)} rows)")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ runs damped finite-difference gradient descent on the interior nodes, and
 dyadically refines (midpoint insertion) until the requested node count is
 reached.  Descent never accepts a worse curve, so the result cannot exceed
 the chord length; and no curve can undercut the true distance by more than
-the quadrature error.
+the quadrature error.  Each descent iteration takes its whole finite-difference
+gradient in one batched density call; cores work row by row, so batching
+changes no value.
 
 The quality of a curve is certified after the fact: the deficit
 (sub-curve length) - (distance between its endpoints), maximized over a
@@ -102,10 +104,10 @@ class EpsilonCertificate:
 
 
 def _segment_lengths(density: FinslerDensity, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gauss two-point lengths of the segments a[i] -> b[i], shape (m, n) inputs."""
+    """Gauss two-point lengths of segments a[i] -> b[i], (m, n) inputs, in one density call."""
     d = b - a
-    v1 = density.evaluate_batch(a + GAUSS_LO * d, d)
-    v2 = density.evaluate_batch(a + GAUSS_HI * d, d)
+    gauss = np.concatenate([a + GAUSS_LO * d, a + GAUSS_HI * d])
+    v1, v2 = np.split(density.evaluate_batch(gauss, np.concatenate([d, d])), 2)
     # a zero segment contributes nothing even where the density is infinite
     lengths = 0.5 * (v1 + v2)
     zero = np.all(d == 0, axis=1)
@@ -153,31 +155,32 @@ def _descend(
     nodes: np.ndarray,
     config: SolverConfig,
 ) -> tuple[np.ndarray, float]:
-    """Damped gradient descent on interior nodes; proposals are resampled first."""
+    """Damped gradient descent on interior nodes; proposals are resampled first.
+
+    An iteration's whole central-difference gradient takes one density call."""
     k, n = nodes.shape
     if k <= 2:
         return nodes, _curve_length(density, nodes)
     h = config.finite_difference_step
+    # interior nodes shifted by +-h and +-ih per coordinate, in the gradient's order
+    units = [(j, unit) for j in range(n) for unit in (1.0, 1j)]
+    shifts = np.array([unit * h * np.eye(n)[j] for j, unit in units])[:, None, :]
+    left = np.tile(np.arange(k - 2), 2 * len(units))  # left neighbour of each shifted row
+    rows = len(left)
     nodes = _redistribute(density, nodes)
     length = _curve_length(density, nodes)
     seg = np.abs(np.diff(nodes, axis=0)).sum(axis=1)
     step = 0.1 * float(np.mean(seg)) + 1e-300
     window_mark = length
     for it in range(config.max_iterations):
-        a, mid, b = nodes[:-2], nodes[1:-1], nodes[2:]
+        mid = nodes[1:-1]
+        shifted = np.concatenate([mid + shifts, mid - shifts]).reshape(rows, n)
+        ends = np.concatenate([nodes[left], shifted, nodes[left + 2]])
+        both = _segment_lengths(density, ends[: 2 * rows], ends[rows:])
+        sums = (both[:rows] + both[rows:]).reshape(2, len(units), k - 2)
         grad = np.zeros_like(mid)
-        for j in range(n):
-            shift = np.zeros(n, dtype=complex)
-            for unit in (1.0, 1j):
-                shift[:] = 0
-                shift[j] = unit * h
-                plus = _segment_lengths(density, a, mid + shift) + _segment_lengths(
-                    density, mid + shift, b
-                )
-                minus = _segment_lengths(density, a, mid - shift) + _segment_lengths(
-                    density, mid - shift, b
-                )
-                grad[:, j] += unit * ((plus - minus) / (2.0 * h))
+        for s, (j, unit) in enumerate(units):
+            grad[:, j] += unit * ((sums[0, s] - sums[1, s]) / (2.0 * h))
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         if gnorm == 0.0 or not math.isfinite(gnorm):
             break

@@ -40,6 +40,8 @@ from .geometry import (
     UnitDisc,
     UnsupportedDomainError,
     VectorLike,
+    _modulus,
+    _norm,
     as_coords,
     contains_batch,
     dimension,
@@ -81,14 +83,25 @@ def _masked(vals: np.ndarray, inside: np.ndarray) -> np.ndarray:
     return np.where(inside, vals, INF)
 
 
+def _complement(r2: np.ndarray, Z: np.ndarray, modulus: Callable, radius=1.0) -> np.ndarray:
+    """radius^2 - r2 (numpy's |z|^2), positive exactly where ``contains_batch`` accepts:
+    within 8 eps of the boundary it is (radius - m)(radius + m), m = modulus(Z)."""
+    s = radius**2 - r2
+    near = np.abs(s) <= 2.0**-49 * radius**2  # 8 eps
+    if near.any():
+        r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
+        s[near] = (r - m) * (r + m)
+    return s
+
+
 def _kobayashi_core(domain: Domain) -> Callable:
     if isinstance(domain, UnitDisc):
 
         def core(Z, X):
-            r2 = np.abs(Z[:, 0]) ** 2
+            s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.abs(X[:, 0]) / (1.0 - r2)
-            return _masked(vals, r2 < 1.0)
+                vals = np.abs(X[:, 0]) / s
+            return _masked(vals, s > 0.0)
 
         return core
     if isinstance(domain, HalfPlane):
@@ -118,8 +131,7 @@ def _kobayashi_core(domain: Domain) -> Callable:
 
         def core(Z, X):
             nz2 = np.sum(np.abs(Z) ** 2, axis=1)
-            inside = nz2 < 1.0
-            s2 = np.where(inside, 1.0 - nz2, np.nan)
+            s2 = _complement(nz2, Z, _norm)
             ip = np.sum(X * np.conj(Z), axis=1)
             nx2 = np.sum(np.abs(X) ** 2, axis=1)
             # split X along and across z, push through the automorphism derivative
@@ -127,18 +139,18 @@ def _kobayashi_core(domain: Domain) -> Callable:
                 p2 = np.where(nz2 > 0.0, np.abs(ip) ** 2 / np.where(nz2 > 0, nz2, 1.0), 0.0)
                 q2 = np.maximum(nx2 - p2, 0.0)
                 vals = np.sqrt(p2 + s2 * q2) / s2
-            return _masked(vals, inside)
+            return _masked(vals, s2 > 0.0)
 
         return core
     if isinstance(domain, Polydisc):
         radii = np.asarray(domain.radii)
 
         def core(Z, X):
-            inside = np.all(np.abs(Z) < radii, axis=1)
+            s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
             with np.errstate(divide="ignore", invalid="ignore"):
-                per = radii * np.abs(X) / (radii**2 - np.abs(Z) ** 2)
+                per = radii * np.abs(X) / s
                 vals = np.max(per, axis=1)
-            return _masked(vals, inside)
+            return _masked(vals, np.all(s > 0.0, axis=1))
 
         return core
     if isinstance(domain, Product):
@@ -156,10 +168,10 @@ def _bergman_core(domain: Domain) -> Callable:
     if isinstance(domain, UnitDisc):
 
         def core(Z, X):
-            r2 = np.abs(Z[:, 0]) ** 2
+            s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = math.sqrt(2.0) * np.abs(X[:, 0]) / (1.0 - r2)
-            return _masked(vals, r2 < 1.0)
+                vals = math.sqrt(2.0) * np.abs(X[:, 0]) / s
+            return _masked(vals, s > 0.0)
 
         return core
     if isinstance(domain, Ball):
@@ -174,11 +186,11 @@ def _bergman_core(domain: Domain) -> Callable:
         radii = np.asarray(domain.radii)
 
         def core(Z, X):
-            inside = np.all(np.abs(Z) < radii, axis=1)
+            s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
             with np.errstate(divide="ignore", invalid="ignore"):
-                per = 2.0 * (radii * np.abs(X)) ** 2 / (radii**2 - np.abs(Z) ** 2) ** 2
+                per = 2.0 * (radii * np.abs(X)) ** 2 / s**2
                 vals = np.sqrt(np.sum(per, axis=1))
-            return _masked(vals, inside)
+            return _masked(vals, np.all(s > 0.0, axis=1))
 
         return core
     raise UnsupportedDomainError(

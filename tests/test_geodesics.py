@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from invlab import conformal, geodesics
 from invlab.distances import distance_batch, kobayashi_distance
 from invlab.geodesics import (
     EpsilonCertificate,
@@ -13,8 +15,16 @@ from invlab.geodesics import (
     finsler_length,
     minimize_curve,
 )
-from invlab.geometry import HalfDiscScaled, HalfPlane, MembershipError, UnitDisc
-from invlab.metrics import kobayashi_density
+from invlab.geometry import (
+    Ball,
+    HalfDiscScaled,
+    HalfPlane,
+    MembershipError,
+    Product,
+    UnitDisc,
+    as_coords,
+)
+from invlab.metrics import FinslerDensity, custom_density, kobayashi_density, pullback
 
 DISC = kobayashi_density(UnitDisc())
 HP = kobayashi_density(HalfPlane())
@@ -153,3 +163,132 @@ def test_refinement_too_deep():
 def test_certificate_invariant():
     with pytest.raises(ValueError):
         EpsilonCertificate(-1e-6, (0, 1))
+
+
+# --------------------------------------------------------------------------
+# batched descent against the per-shift reference
+# --------------------------------------------------------------------------
+
+def _reference_segment_lengths(density, a, b):
+    """Gauss two-point segment lengths with one density call per Gauss point."""
+    d = b - a
+    v1 = density.evaluate_batch(a + geodesics.GAUSS_LO * d, d)
+    v2 = density.evaluate_batch(a + geodesics.GAUSS_HI * d, d)
+    lengths = 0.5 * (v1 + v2)
+    zero = np.all(d == 0, axis=1)
+    if np.any(zero):
+        lengths = np.where(zero, 0.0, lengths)
+    return lengths
+
+
+def _reference_descend(density, nodes, config):
+    """The descent with its gradient taken one shift at a time (8n segment sets)."""
+    k, n = nodes.shape
+    if k <= 2:
+        return nodes, geodesics._curve_length(density, nodes)
+    h = config.finite_difference_step
+    nodes = geodesics._redistribute(density, nodes)
+    length = geodesics._curve_length(density, nodes)
+    seg = np.abs(np.diff(nodes, axis=0)).sum(axis=1)
+    step = 0.1 * float(np.mean(seg)) + 1e-300
+    window_mark = length
+    for it in range(config.max_iterations):
+        a, mid, b = nodes[:-2], nodes[1:-1], nodes[2:]
+        grad = np.zeros_like(mid)
+        for j in range(n):
+            shift = np.zeros(n, dtype=complex)
+            for unit in (1.0, 1j):
+                shift[:] = 0
+                shift[j] = unit * h
+                plus = _reference_segment_lengths(
+                    density, a, mid + shift
+                ) + _reference_segment_lengths(density, mid + shift, b)
+                minus = _reference_segment_lengths(
+                    density, a, mid - shift
+                ) + _reference_segment_lengths(density, mid - shift, b)
+                grad[:, j] += unit * ((plus - minus) / (2.0 * h))
+        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        if gnorm == 0.0 or not math.isfinite(gnorm):
+            break
+        candidate = nodes.copy()
+        candidate[1:-1] = mid - (step / gnorm) * grad
+        candidate = geodesics._redistribute(density, candidate)
+        cand_length = geodesics._curve_length(density, candidate)
+        if cand_length < length:
+            nodes, length = candidate, cand_length
+            step *= 1.25
+        else:
+            step *= 0.5
+            if step < 1e-16:
+                break
+        if (it + 1) % 50 == 0:
+            if window_mark - length < config.convergence_tol * max(length, 1e-30):
+                break
+            window_mark = length
+    return nodes, length
+
+
+def _halfplane_row(zc, Xc):
+    return abs(Xc[0]) / (2.0 * zc[0].imag) if zc[0].imag > 0.0 else math.inf
+
+
+BATCH_CASES = [
+    (DISC, 0.3 + 0.4j, -0.2 - 0.5j),
+    (HP, -0.1 + 0.01j, 0.1 + 0.01j),
+    (kobayashi_density(HalfDiscScaled(1.0)), 0.5j, 0.2 + 0.25j),
+    (kobayashi_density(Ball(2)), (0.3, 0.1j), (-0.2 + 0.1j, 0.4)),
+    (kobayashi_density(Product((UnitDisc(), HalfPlane()))), (0.1, 1j), (0.3j, 0.5 + 2j)),
+    (pullback(conformal.HalfDiscToHalfPlane(), HP), 0.5j, -0.3 + 0.2j),
+    (custom_density(_halfplane_row, HalfPlane()), -0.3 + 0.4j, 0.2 + 1.2j),
+]
+
+
+@pytest.mark.parametrize(
+    "density, z, w",
+    BATCH_CASES,
+    ids=["disc", "halfplane", "halfdisc", "ball2", "product", "pullback", "custom"],
+)
+def test_batched_descent_bit_identical_to_per_shift(monkeypatch, density, z, w):
+    config = SolverConfig(node_count=17, refinement_levels=2, max_iterations=12)
+    curve, length = minimize_curve(density, z, w, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(geodesics, "_segment_lengths", _reference_segment_lengths)
+        patch.setattr(geodesics, "_descend", _reference_descend)
+        ref_curve, ref_length = minimize_curve(density, z, w, config)
+    assert np.array_equal(curve.nodes, ref_curve.nodes)
+    assert length == ref_length
+    # descent moved the curve, so accepted steps are compared too
+    start, _ = minimize_curve(density, z, w, replace(config, max_iterations=0))
+    assert not np.array_equal(curve.nodes, start.nodes)
+
+
+@pytest.mark.parametrize(
+    "domain, z, w",
+    [(UnitDisc(), 0.3 + 0.4j, -0.2 - 0.5j), (Ball(2), (0.3, 0.1j), (-0.2 + 0.1j, 0.4))],
+    ids=["disc", "ball2"],
+)
+def test_descent_makes_three_density_calls_per_iteration(domain, z, w):
+    plain = kobayashi_density(domain)
+    rows = []
+
+    def counting(Z, X):
+        rows.append(len(Z))
+        return plain.core(Z, X)
+
+    density = FinslerDensity("counting", domain, counting)
+    k, iterations = 17, 7
+    t = np.linspace(0.0, 1.0, k)[:, None]
+    nodes = (1 - t) * as_coords(z) + t * as_coords(w)
+    geodesics._descend(density, nodes, SolverConfig(max_iterations=iterations))
+    n = nodes.shape[1]
+    # resampling and length up front, then gradient, resampling and length per iteration
+    assert len(rows) <= 2 + 3 * iterations
+    assert max(rows) == 16 * n * (k - 2)  # 4n shifted copies, 2 segments, 2 Gauss points
+
+
+def test_zero_curve_on_ball_has_zero_length():
+    ball = kobayashi_density(Ball(2))
+    z = (0.3 + 0.1j, -0.2j)
+    curve, length = minimize_curve(ball, z, z, SolverConfig(node_count=9, refinement_levels=1))
+    assert length == 0.0
+    assert finsler_length(ball, curve) == 0.0

@@ -16,6 +16,7 @@ from invlab.geometry import (
     ReinhardtEllipsoid,
     UnitDisc,
     UnsupportedDomainError,
+    contains_batch,
 )
 from invlab.metrics import (
     bergman_density,
@@ -209,6 +210,46 @@ def test_infinity_marker_propagates():
     nodes = ((1 - t) * 0.25j + t * (0.6 + 0.25j))[:, None]
     curve = Polyline(HalfPlane(), nodes)
     assert finsler_length(dens, curve) == math.inf
+
+
+def _nudged(rng, Z):
+    """Z with each real and imaginary part moved by -1, 0 or +1 ulp at random."""
+    def part(x):
+        return np.nextafter(x, x + rng.integers(-1, 2, x.shape))
+
+    return part(Z.real) + 1j * part(Z.imag)
+
+
+def test_density_cores_agree_with_membership():
+    # points on the last representable circle or sphere inside the boundary,
+    # nudged by an ulp so that membership accepts some and rejects others
+    rng = np.random.default_rng(20240)
+    m = 4000
+
+    def circle(radius):
+        return np.nextafter(radius, 0.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, m))
+
+    u = rng.normal(size=(m, 4))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    sphere = (u[:, :2] + 1j * u[:, 2:]) * np.nextafter(1.0, 0.0)
+    cases = [
+        (UnitDisc(), circle(1.0)[:, None]),
+        (Polydisc((1.0, 0.5)), np.stack([circle(1.0), np.full(m, 0.25j)], axis=1)),
+        (Polydisc((1.0, 0.5)), np.stack([np.full(m, 0.5), circle(0.5)], axis=1)),
+        (Ball(2), sphere),
+    ]
+    for domain, Z in cases:
+        Z = _nudged(rng, Z)
+        accepted = contains_batch(domain, Z)
+        assert accepted.any() and not accepted.all()
+        X = np.ones_like(Z)
+        for density in (kobayashi_density(domain), bergman_density(domain)):
+            vals = density.evaluate_batch(Z, X)
+            assert np.all(np.isfinite(vals[accepted]) & (vals[accepted] > 0))
+            assert np.all(vals[~accepted] == math.inf)
+    z = -0.24198136115632474 - 0.9702808979120078j
+    assert math.isfinite(kobayashi_royden_density(UnitDisc(), z, 1.0))
+    assert math.isfinite(bergman_metric(UnitDisc(), z, 1.0))
 
 
 def test_membership_errors():
