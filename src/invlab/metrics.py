@@ -50,6 +50,7 @@ from .geometry import (
 )
 
 INF = math.inf
+NEAR = 2.0**-49  # 8 eps: closer to the boundary, complements are recomputed
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _complement(r2: np.ndarray, Z: np.ndarray, modulus: Callable, radius=1.0) ->
     """radius^2 - r2 (numpy's |z|^2), positive exactly where ``contains_batch`` accepts:
     within 8 eps of the boundary it is (radius - m)(radius + m), m = modulus(Z)."""
     s = radius**2 - r2
-    near = np.abs(s) <= 2.0**-49 * radius**2  # 8 eps
+    near = np.abs(s) <= NEAR * radius**2
     if near.any():
         r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
         s[near] = (r - m) * (r + m)
@@ -118,12 +119,20 @@ def _kobayashi_core(domain: Domain) -> Callable:
         f = conformal.HalfDiscToHalfPlane()
 
         def core(Z, X):
+            s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus, r)
+            inside = (Z[:, 0].imag > 0.0) & (s > 0.0)
+            far = inside & (s > NEAR * r**2)
             zeta = Z[:, 0] / r
-            inside = (zeta.imag > 0.0) & (np.abs(zeta) < 1.0)
-            zsafe = np.where(inside, zeta, 0.5j)
+            zsafe = np.where(far, zeta, 0.5j)
             w = conformal._apply(f, zsafe)
             d = conformal._derivative(f, zsafe) * (X[:, 0] / r)
             vals = np.abs(d) / (2.0 * w.imag)
+            near = inside ^ far
+            if near.any():
+                # |f'| / (2 Im f) free of the cancellation in Im w at the arc
+                zn, xn = zeta[near], np.abs(X[near, 0])
+                vals[near] = xn * np.abs(1.0 + zn) * np.abs(1.0 - zn)
+                vals[near] /= 2.0 * r * zn.imag * (s[near] / r**2)
             return _masked(vals, inside)
 
         return core

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from invlab import bergman
 from invlab.bergman import (
     bergman_derivative_sup,
     bergman_kernel_diag,
@@ -14,12 +15,19 @@ from invlab.bergman import (
 )
 from invlab.geometry import (
     Ball,
+    BallIntersection,
+    ComplexPoint,
     HalfPlane,
     MembershipError,
     Polydisc,
     ReinhardtEllipsoid,
     UnitDisc,
     UnsupportedDomainError,
+    as_coords,
+    boundary_distance,
+    contains,
+    dimension,
+    member_coords,
 )
 
 
@@ -169,3 +177,150 @@ def test_errors():
     with pytest.raises(MembershipError):
         # closer to the boundary than twice the step
         bergman_metric_numeric(UnitDisc(), 0.9999, 1.0, 10, 1e-3)
+
+
+def _oracle_kernel_value(table, coords):
+    """(kernel diagonal, tail estimate) at one point, the series summed per point
+    (test oracle)."""
+    r2 = np.abs(coords) ** 2
+    terms = np.prod(r2[None, :] ** table.alphas, axis=1) * table.inv_moments
+    degree_sums = np.bincount(table.degrees, weights=terms)
+    kernel = float(np.sum(terms))
+    tail = 0.0
+    last = degree_sums[-5:]
+    if len(last) >= 2 and last[-1] > 0.0:
+        ratios = [
+            last[i + 1] / last[i]
+            for i in range(len(last) - 1)
+            if last[i] > 0.0 and last[i + 1] > 0.0
+        ]
+        if ratios:
+            r = max(ratios)
+            tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
+    return kernel, tail
+
+
+def _oracle_metric(domain, z, X, N, h):
+    """The metric with the exact boundary projection as its reach check and one
+    series evaluation per difference point (test oracle)."""
+    coords = as_coords(z)
+    vec = as_coords(X)
+    if len(coords) != len(vec):
+        raise MembershipError("point and vector dimensions differ")
+    member_coords(domain, coords)
+    reach = 2.0 * h * float(np.linalg.norm(vec))
+    if boundary_distance(domain, coords) < reach:
+        raise MembershipError(f"point is within {reach:g} of the boundary")
+    table = moment_table(domain, int(N))
+
+    def logk(p):
+        return math.log(_oracle_kernel_value(table, p)[0])
+
+    center = logk(coords)
+    quad_form = 0.0
+    for unit in (1.0, 1j):
+        step = h * unit * vec
+        quad_form += logk(coords + step) + logk(coords - step) - 2.0 * center
+    quad_form /= 4.0 * h * h
+    if quad_form <= 0.0:
+        raise ValueError("log-kernel Hessian is not positive here")
+    return math.sqrt(quad_form)
+
+
+METRIC_DOMAINS = [
+    UnitDisc(),
+    Ball(2),
+    Polydisc((0.7, 1.3)),
+    ReinhardtEllipsoid((1.0, 2.0)),
+    ReinhardtEllipsoid((0.6, 2.7)),
+    ReinhardtEllipsoid((2.5, 1.5)),
+    ReinhardtEllipsoid((0.4, 1.0)),
+    ReinhardtEllipsoid((1.0, 1.0)),
+]
+
+
+def _level(domain, z):
+    """sum |z_j|^(2 p_j) on discs, balls and ellipsoids; max (|z_j|/r_j)^2 on
+    polydiscs."""
+    x = np.abs(as_coords(z))
+    if isinstance(domain, Polydisc):
+        return float(np.max(x / np.asarray(domain.radii)) ** 2)
+    p = np.asarray(getattr(domain, "exponents", (1.0,) * len(x)))
+    return float(np.sum(x ** (2 * p)))
+
+
+def _member_points(domain, rng, m, max_level=1.0):
+    """m seeded points of the domain with level below max_level, by rejection
+    from the box of side 2 max r."""
+    n = dimension(domain)
+    box = max(domain.radii) if isinstance(domain, Polydisc) else 1.0
+    out = []
+    while len(out) < m:
+        z = box * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        if contains(domain, z) and _level(domain, z) <= max_level:
+            out.append(z)
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:  # the invlab errors are ValueErrors
+        return type(exc)
+
+
+@pytest.mark.parametrize("domain", METRIC_DOMAINS, ids=repr)
+def test_metric_and_kernel_match_per_point_oracle(domain):
+    rng = np.random.default_rng([5150, METRIC_DOMAINS.index(domain)])
+    N = default_truncation(domain)
+    table = moment_table(domain, N)
+    raises = 0
+    points = _member_points(domain, rng, 40)
+    for z in points:
+        X = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+        h = 10.0 ** rng.uniform(-4.5, -0.5)
+        want = _outcome(_oracle_metric, domain, z, X, N, h)
+        got = _outcome(bergman_metric_numeric, domain, z, X, N, h)
+        assert got == want, (z, X, h)
+        raises += isinstance(want, type)
+        kr = bergman_kernel_diag(domain, z, N)
+        assert (kr.kernel_diag, kr.tail_estimate) == _oracle_kernel_value(table, z)
+    assert 0 < raises < len(points)
+
+
+def _counting_boundary_distance(monkeypatch):
+    calls = []
+
+    def counted(domain, z):
+        calls.append(z)
+        return boundary_distance(domain, z)
+
+    monkeypatch.setattr(bergman, "boundary_distance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain", METRIC_DOMAINS, ids=repr)
+def test_deep_points_skip_the_boundary_projection(domain, monkeypatch):
+    calls = _counting_boundary_distance(monkeypatch)
+    rng = np.random.default_rng(77)
+    for z in _member_points(domain, rng, 25, max_level=0.3):
+        X = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+        bergman_metric_numeric(domain, z, X / np.linalg.norm(X), 12, 1e-3)
+    assert calls == []
+
+
+def test_reach_screen_falls_back_to_the_projection(monkeypatch):
+    calls = _counting_boundary_distance(monkeypatch)
+    # reach 0.29 against delta 0.3: the screen's point (1.28, 0.58) is outside
+    assert bergman_metric_numeric(Ball(2), (0.7, 0.0), (1.0, 0.0), 20, 0.145) > 0
+    assert len(calls) == 1
+    with pytest.raises(MembershipError):
+        bergman_metric_numeric(Ball(2), (0.7, 0.0), (1.0, 0.0), 20, 0.155)
+    assert len(calls) == 2
+
+
+def test_metric_rejects_non_reinhardt_domains_before_the_reach_check():
+    cap = BallIntersection(UnitDisc(), ComplexPoint((0j,)), 0.5)
+    for domain, z in ((cap, 0.4999), (HalfPlane(), 1e-4j), (HalfPlane(), 1j)):
+        with pytest.raises(UnsupportedDomainError):
+            bergman_metric_numeric(domain, z, 1.0, 10, 1e-3)

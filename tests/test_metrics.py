@@ -232,24 +232,43 @@ def test_density_cores_agree_with_membership():
     u = rng.normal(size=(m, 4))
     u /= np.linalg.norm(u, axis=1)[:, None]
     sphere = (u[:, :2] + 1j * u[:, 2:]) * np.nextafter(1.0, 0.0)
+
+    def upper_arc(radius):
+        c = circle(radius)
+        return (c.real + 1j * np.abs(c.imag))[:, None]
+
+    both = (kobayashi_density, bergman_density)
     cases = [
-        (UnitDisc(), circle(1.0)[:, None]),
-        (Polydisc((1.0, 0.5)), np.stack([circle(1.0), np.full(m, 0.25j)], axis=1)),
-        (Polydisc((1.0, 0.5)), np.stack([np.full(m, 0.5), circle(0.5)], axis=1)),
-        (Ball(2), sphere),
+        (UnitDisc(), circle(1.0)[:, None], both),
+        (Polydisc((1.0, 0.5)), np.stack([circle(1.0), np.full(m, 0.25j)], axis=1), both),
+        (Polydisc((1.0, 0.5)), np.stack([np.full(m, 0.5), circle(0.5)], axis=1), both),
+        (Ball(2), sphere, both),
+        (HalfDiscScaled(1.0), upper_arc(1.0), (kobayashi_density,)),
+        (HalfDiscScaled(0.7), upper_arc(0.7), (kobayashi_density,)),
     ]
-    for domain, Z in cases:
+    for domain, Z, densities in cases:
         Z = _nudged(rng, Z)
         accepted = contains_batch(domain, Z)
         assert accepted.any() and not accepted.all()
         X = np.ones_like(Z)
-        for density in (kobayashi_density(domain), bergman_density(domain)):
+        for density in (d(domain) for d in densities):
             vals = density.evaluate_batch(Z, X)
             assert np.all(np.isfinite(vals[accepted]) & (vals[accepted] > 0))
             assert np.all(vals[~accepted] == math.inf)
+        if isinstance(domain, HalfDiscScaled):
+            # |1 + zeta| |1 - zeta| / (2 r Im zeta (1 - |zeta|^2)), zeta = z / r, with
+            # r^2 (1 - |zeta|^2) = (r - |z|)(r + |z|) as the complement takes it
+            r = domain.radius
+            for z in Z[accepted, 0][:200]:
+                zeta, s = z / r, (r - abs(z)) * (r + abs(z)) / r**2
+                want = abs(1 + zeta) * abs(1 - zeta) / (2 * r * zeta.imag * s)
+                got = kobayashi_royden_density(domain, z, 1.0)
+                assert got == pytest.approx(want, rel=1e-13)
     z = -0.24198136115632474 - 0.9702808979120078j
     assert math.isfinite(kobayashi_royden_density(UnitDisc(), z, 1.0))
     assert math.isfinite(bergman_metric(UnitDisc(), z, 1.0))
+    z = 0.04676626078799779 + 0.9989058598546255j
+    assert 0.0 < kobayashi_royden_density(HalfDiscScaled(1.0), z, 1.0) < math.inf
 
 
 def test_membership_errors():

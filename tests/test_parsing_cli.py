@@ -326,6 +326,23 @@ def test_import_loads_no_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
+    # the reach screen settles interior points without the SLSQP projection;
+    # the Beta moments still load scipy.special
+    src = os.path.dirname(os.path.dirname(invlab.__file__))
+    code = (
+        "import sys\n"
+        "from invlab.bergman import bergman_metric_numeric\n"
+        "from invlab.geometry import ReinhardtEllipsoid\n"
+        "bergman_metric_numeric(\n"
+        "    ReinhardtEllipsoid((1.0, 2.0)), (0.3, 0.2j), (1.0, 0.5), 20, 1e-3\n"
+        ")\n"
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_thread_pool_keeps_results_identical(monkeypatch):
     from invlab import verify
 
