@@ -5,9 +5,13 @@ segments of two-point Gauss quadrature of density(point; segment direction).
 ``minimize_curve`` starts from the straight chord at a coarse node count,
 runs damped finite-difference gradient descent on the interior nodes, and
 dyadically refines (midpoint insertion) until the requested node count is
-reached.  Descent never accepts a worse curve, so the result cannot exceed
-the chord length; and no curve can undercut the true distance by more than
-the quadrature error.  Each descent iteration takes its whole finite-difference
+reached.  The descent is preconditioned by the metric: each node's gradient
+is scaled by 1/rho^2, rho being the density at the node read off the curve's
+own segment lengths, and the step is measured in metric units, so nodes near
+the boundary, where rho is large, move as far in the metric as nodes far from
+it.  Descent never accepts a worse curve, so the result cannot exceed the
+chord length; and no curve can undercut the true distance by more than the
+quadrature error.  Each descent iteration takes its whole finite-difference
 gradient in one batched density call; cores work row by row, so batching
 changes no value.
 
@@ -106,10 +110,11 @@ class EpsilonCertificate:
 def _segment_lengths(density: FinslerDensity, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gauss two-point lengths of segments a[i] -> b[i], (m, n) inputs, in one density call."""
     d = b - a
+    m = len(d)
     gauss = np.concatenate([a + GAUSS_LO * d, a + GAUSS_HI * d])
-    v1, v2 = np.split(density.evaluate_batch(gauss, np.concatenate([d, d])), 2)
+    v = density.evaluate_batch(gauss, np.concatenate([d, d]))
     # a zero segment contributes nothing even where the density is infinite
-    lengths = 0.5 * (v1 + v2)
+    lengths = 0.5 * (v[:m] + v[m:])
     zero = np.all(d == 0, axis=1)
     if np.any(zero):
         lengths = np.where(zero, 0.0, lengths)
@@ -150,14 +155,34 @@ def _redistribute(density: FinslerDensity, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_density(nodes: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Density at each interior node along the curve, seg / |d| averaged over its two segments.
+
+    Returns a (k - 2, 1) column.  A node whose value is not a positive finite
+    number (a zero-length segment, an infinite density) gets +inf, so the
+    metric step leaves it in place."""
+    d = np.diff(nodes, axis=0)
+    norm = np.sqrt((d.real**2 + d.imag**2).sum(axis=1))
+    ratio = np.divide(seg, norm, out=np.full_like(seg, np.nan), where=norm > 0)
+    rho = 0.5 * (ratio[:-1] + ratio[1:])
+    return np.where(rho > 0, rho, np.inf)[:, None]
+
+
 def _descend(
     density: FinslerDensity,
     nodes: np.ndarray,
     config: SolverConfig,
 ) -> tuple[np.ndarray, float]:
-    """Damped gradient descent on interior nodes; proposals are resampled first.
+    """Metric-preconditioned gradient descent on interior nodes; proposals are resampled first.
 
-    An iteration's whole central-difference gradient takes one density call."""
+    Node i moves along its gradient scaled by 1/rho_i^2, rho_i being the
+    density at the node as the accepted curve's own segment lengths give it
+    (a natural-gradient step), and ``step`` bounds the largest metric
+    displacement rho_i |displacement_i|.  Near the boundary rho varies by
+    orders of magnitude along the curve, so one Euclidean step would be too
+    large at the ends or too small at the top.  An iteration makes 3 density
+    calls: the whole central-difference gradient, the resampling and the
+    proposal's segment lengths, which an accepted proposal carries forward."""
     k, n = nodes.shape
     if k <= 2:
         return nodes, _curve_length(density, nodes)
@@ -168,9 +193,10 @@ def _descend(
     left = np.tile(np.arange(k - 2), 2 * len(units))  # left neighbour of each shifted row
     rows = len(left)
     nodes = _redistribute(density, nodes)
-    length = _curve_length(density, nodes)
-    seg = np.abs(np.diff(nodes, axis=0)).sum(axis=1)
-    step = 0.1 * float(np.mean(seg)) + 1e-300
+    seg = _segment_lengths(density, nodes[:-1], nodes[1:])
+    length = float(np.sum(seg))
+    rho = _node_density(nodes, seg)
+    step = 0.1 * length / (k - 1)
     window_mark = length
     for it in range(config.max_iterations):
         mid = nodes[1:-1]
@@ -181,21 +207,23 @@ def _descend(
         grad = np.zeros_like(mid)
         for s, (j, unit) in enumerate(units):
             grad[:, j] += unit * ((sums[0, s] - sums[1, s]) / (2.0 * h))
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        # rho_i |displacement_i| = step * |grad_i / rho_i| / gnorm
+        scaled = grad / rho
+        gnorm = float(np.max(np.linalg.norm(scaled, axis=1)))
         if gnorm == 0.0 or not math.isfinite(gnorm):
             break
-        # normalized direction: `step` is the largest node displacement, so a
-        # steep boundary gradient cannot catapult the curve out of scale
         candidate = nodes.copy()
-        candidate[1:-1] = mid - (step / gnorm) * grad
+        candidate[1:-1] = mid - (step / gnorm) * (scaled / rho)
         candidate = _redistribute(density, candidate)
-        cand_length = _curve_length(density, candidate)
+        cand_seg = _segment_lengths(density, candidate[:-1], candidate[1:])
+        cand_length = float(np.sum(cand_seg))
         if cand_length < length:
             nodes, length = candidate, cand_length
+            rho = _node_density(nodes, cand_seg)
             step *= 1.25
         else:
             step *= 0.5
-            if step < 1e-16:
+            if step < 1e-16 * length:
                 break
         if (it + 1) % 50 == 0:
             if window_mark - length < config.convergence_tol * max(length, 1e-30):

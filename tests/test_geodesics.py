@@ -138,6 +138,18 @@ def test_excursion_family_ratio():
         assert excursion_radius(curve, z) / math.sqrt(abs(z - w)) <= 2.0
 
 
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_boundary_hugging_pair_does_not_stall(t):
+    z, w = -t + 1j * t * t, t + 1j * t * t
+    curve, length = minimize_curve(HP, z, w)
+    exact = kobayashi_distance(HalfPlane(), z, w).value
+    assert abs(length - exact) / exact <= 1e-3
+    assert epsilon_certificate(curve, HP, distance_batch(HalfPlane())).epsilon <= 5e-3
+    # the geodesic is the half circle through z and w centred on the real axis
+    top = float(np.max(curve.nodes[:, 0].imag))
+    assert top == pytest.approx(math.hypot(t, t * t), rel=1e-2)
+
+
 def test_polyline_validation():
     with pytest.raises(MembershipError):
         Polyline(UnitDisc(), np.array([[0.0], [1.5]]))
@@ -181,6 +193,19 @@ def _reference_segment_lengths(density, a, b):
     return lengths
 
 
+def _reference_node_density(nodes, seg):
+    """(k - 2, 1) column of seg / |d| averaged over each interior node's two segments."""
+    rho = np.empty((len(seg) - 1, 1))
+    for i in range(len(seg) - 1):
+        ratios = []
+        for s in (i, i + 1):
+            norm = math.sqrt(sum(c.real**2 + c.imag**2 for c in nodes[s + 1] - nodes[s]))
+            ratios.append(seg[s] / norm if norm > 0 else math.nan)
+        value = 0.5 * (ratios[0] + ratios[1])
+        rho[i, 0] = value if value > 0 else math.inf
+    return rho
+
+
 def _reference_descend(density, nodes, config):
     """The descent with its gradient taken one shift at a time (8n segment sets)."""
     k, n = nodes.shape
@@ -188,9 +213,10 @@ def _reference_descend(density, nodes, config):
         return nodes, geodesics._curve_length(density, nodes)
     h = config.finite_difference_step
     nodes = geodesics._redistribute(density, nodes)
-    length = geodesics._curve_length(density, nodes)
-    seg = np.abs(np.diff(nodes, axis=0)).sum(axis=1)
-    step = 0.1 * float(np.mean(seg)) + 1e-300
+    seg = geodesics._segment_lengths(density, nodes[:-1], nodes[1:])
+    length = float(np.sum(seg))
+    rho = _reference_node_density(nodes, seg)
+    step = 0.1 * length / (k - 1)
     window_mark = length
     for it in range(config.max_iterations):
         a, mid, b = nodes[:-2], nodes[1:-1], nodes[2:]
@@ -207,19 +233,22 @@ def _reference_descend(density, nodes, config):
                     density, a, mid - shift
                 ) + _reference_segment_lengths(density, mid - shift, b)
                 grad[:, j] += unit * ((plus - minus) / (2.0 * h))
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        scaled = grad / rho
+        gnorm = float(np.max(np.linalg.norm(scaled, axis=1)))
         if gnorm == 0.0 or not math.isfinite(gnorm):
             break
         candidate = nodes.copy()
-        candidate[1:-1] = mid - (step / gnorm) * grad
+        candidate[1:-1] = mid - (step / gnorm) * (scaled / rho)
         candidate = geodesics._redistribute(density, candidate)
-        cand_length = geodesics._curve_length(density, candidate)
+        cand_seg = geodesics._segment_lengths(density, candidate[:-1], candidate[1:])
+        cand_length = float(np.sum(cand_seg))
         if cand_length < length:
             nodes, length = candidate, cand_length
+            rho = _reference_node_density(nodes, cand_seg)
             step *= 1.25
         else:
             step *= 0.5
-            if step < 1e-16:
+            if step < 1e-16 * length:
                 break
         if (it + 1) % 50 == 0:
             if window_mark - length < config.convergence_tol * max(length, 1e-30):
@@ -286,6 +315,7 @@ def test_descent_makes_three_density_calls_per_iteration(domain, z, w):
     assert max(rows) == 16 * n * (k - 2)  # 4n shifted copies, 2 segments, 2 Gauss points
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_curve_on_ball_has_zero_length():
     ball = kobayashi_density(Ball(2))
     z = (0.3 + 0.1j, -0.2j)
