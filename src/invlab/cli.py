@@ -1,11 +1,11 @@
 """Command-line front end: distance queries, geodesics, sweeps, kernels, verification.
 
 Exit codes: 0 on success, 1 on a validation error (bad literal, unknown
-domain, point outside the domain; the diagnostic names the offending flag),
-2 when the verification suite fails.  Identical argv and seed produce
-byte-identical output files: all randomness is counter-based and keyed by the
-seed, CSV floats carry 17 significant digits, and parallel workloads (capped
-by the INVLAB_THREADS environment variable) aggregate in input order.
+domain, point outside the domain, malformed ``--config`` file; the diagnostic
+names the offending flag), 2 when the verification suite fails.  Identical
+argv and seed produce byte-identical output files: all randomness is
+counter-based and keyed by the seed, CSV floats carry 17 significant digits,
+and verify runs its suites one after another in registry order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -49,40 +48,41 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     solver: geodesics.SolverConfig = geodesics.SolverConfig()
     output_path: str = ""
-    format: str = "csv"
 
     def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-        for name in self.tolerances:
+        for name, value in self.tolerances.items():
             if name not in verify.TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"tolerance {name!r} must be a number")
+
+
+CONFIG_TYPES = {"seed": int, "tolerances": dict, "solver": dict, "output_path": str}
 
 
 def load_config(path: str | None) -> RunConfig:
+    """Read a JSON run configuration; any fault is a ``--config`` error."""
     if not path:
         return RunConfig()
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(raw, dict):
+            raise ValueError("the configuration must be a JSON object")
+        for key, value in raw.items():
+            if key not in CONFIG_TYPES:
+                accepted = ", ".join(CONFIG_TYPES)
+                raise ValueError(f"unknown key {key!r} (accepted: {accepted})")
+            if not isinstance(value, CONFIG_TYPES[key]) or isinstance(value, bool):
+                raise ValueError(f"{key} must be of type {CONFIG_TYPES[key].__name__}")
+        return RunConfig(
+            seed=raw.get("seed", 42),
+            tolerances=raw.get("tolerances", {}),
+            solver=geodesics.SolverConfig(**raw.get("solver", {})),
+            output_path=raw.get("output_path", ""),
+        )
+    except (OSError, TypeError, ValueError) as exc:
         raise FlagError("--config", str(exc))
-    solver = geodesics.SolverConfig(**raw.get("solver", {}))
-    return RunConfig(
-        seed=int(raw.get("seed", 42)),
-        tolerances=dict(raw.get("tolerances", {})),
-        solver=solver,
-        output_path=str(raw.get("output_path", "")),
-        format=str(raw.get("format", "csv")),
-    )
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("INVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_with(flag: str, parser, text: str):
@@ -110,30 +110,8 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _gap_csv(z: complex, w: complex, radius: float) -> str:
-    g = distances.localization_gap(z, w, radius)
-    cells = [
-        parsing.format_complex(z),
-        parsing.format_complex(w),
-        parsing.format_float(g.k_local),
-        parsing.format_float(g.k_global),
-        parsing.format_float(g.term_boundary),
-        parsing.format_float(g.term_separation),
-        parsing.format_float(g.gap),
-        parsing.format_float(g.residual),
-    ]
-    return "z,w,k_loc,k_glob,t1,t2,gap,residual\n" + ",".join(cells) + "\n"
-
-
 def cmd_distance(args, config: RunConfig) -> int:
     domain = _parse_with("--domain", parsing.parse_domain, args.domain)
-    if args.which == "gap":
-        if not isinstance(domain, HalfDiscScaled):
-            raise FlagError("--which", "gap needs a halfdisc:r=<r> domain")
-        z = _member_point("--z", domain, args.z)[0]
-        w = _member_point("--w", domain, args.w)[0]
-        _write_text(args.out or config.output_path, _gap_csv(z, w, domain.radius))
-        return 0
     z = _member_point("--z", domain, args.z)
     w = _member_point("--w", domain, args.w)
     fn = {
@@ -154,7 +132,19 @@ def cmd_gap(args, config: RunConfig) -> int:
     domain = HalfDiscScaled(args.r)
     z = _member_point("--z", domain, args.z)[0]
     w = _member_point("--w", domain, args.w)[0]
-    _write_text(args.out or config.output_path, _gap_csv(z, w, args.r))
+    g = distances.localization_gap(z, w, args.r)
+    cells = [
+        parsing.format_complex(z),
+        parsing.format_complex(w),
+        parsing.format_float(g.k_local),
+        parsing.format_float(g.k_global),
+        parsing.format_float(g.term_boundary),
+        parsing.format_float(g.term_separation),
+        parsing.format_float(g.gap),
+        parsing.format_float(g.residual),
+    ]
+    text = "z,w,k_loc,k_glob,t1,t2,gap,residual\n" + ",".join(cells) + "\n"
+    _write_text(args.out or config.output_path, text)
     return 0
 
 
@@ -297,9 +287,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else config.seed
     try:
-        report, ok = verify.run_verify(
-            names, seed, thread_cap(), config.tolerances or None
-        )
+        report, ok = verify.run_verify(names, seed, config.tolerances or None)
     except ValueError as exc:
         raise FlagError("--suite", str(exc))
     for name, entry in report.items():
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--domain", required=True)
     d.add_argument("--z", required=True)
     d.add_argument("--w", required=True)
-    d.add_argument("--which", choices=["k", "c", "gap"], default="k")
+    d.add_argument("--which", choices=["k", "c"], default="k")
     d.add_argument("--out", default=None)
 
     g = sub.add_parser("gap", help="half-disc localization gap decomposition")

@@ -81,6 +81,9 @@ class SolverConfig:
     finite_difference_step: float = 1e-7
 
     def __post_init__(self):
+        counts = (self.node_count, self.max_iterations, self.refinement_levels)
+        if not all(isinstance(n, int) for n in counts):
+            raise ValueError("node and iteration counts must be integers")
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
         if (self.node_count - 1) & (self.node_count - 2) != 0:

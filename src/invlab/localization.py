@@ -31,7 +31,7 @@ WeightLike = Callable[[float], float]
 class AdmissibleWeight:
     """A weight with a named form; ``power`` pins c > 0 and 0 < alpha <= 1."""
 
-    form: str  # power | linear | tabulated
+    form: str  # power | tabulated
     c: float = 1.0
     alpha: float = 1.0
     grid: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
@@ -40,9 +40,6 @@ class AdmissibleWeight:
         if self.form == "power":
             if self.c <= 0 or not (0.0 < self.alpha <= 1.0):
                 raise ValueError("power weight needs c > 0 and alpha in (0, 1]")
-        elif self.form == "linear":
-            if self.c <= 0:
-                raise ValueError("linear weight needs c > 0")
         elif self.form == "tabulated":
             if self.grid is None or len(self.grid[0]) < 2:
                 raise ValueError("tabulated weight needs a grid of >= 2 points")
@@ -59,8 +56,6 @@ class AdmissibleWeight:
             raise ValueError("weights are defined on (0, inf)")
         if self.form == "power":
             return self.c * x**self.alpha
-        if self.form == "linear":
-            return self.c * x
         xs, ys = self.grid
         # log-log interpolation, constant-slope extrapolation past the ends
         lx = math.log(x)
@@ -85,7 +80,7 @@ def power_weight(c: float = 1.0, alpha: float = 0.5) -> AdmissibleWeight:
 
 
 def linear_weight(c: float = 1.0) -> AdmissibleWeight:
-    return AdmissibleWeight("linear", c=c)
+    return AdmissibleWeight("power", c=c, alpha=1.0)
 
 
 def tabulated_weight(xs: Sequence[float], ys: Sequence[float]) -> AdmissibleWeight:
@@ -161,16 +156,13 @@ def check_admissible(
 
 
 def weight_integral(f: WeightLike, T: float) -> float:
-    """integral_0^T f(x)/x dx; closed form for power and linear weights."""
+    """integral_0^T f(x)/x dx; closed form for power weights."""
     if T < 0:
         raise ValueError("T must be nonnegative")
     if T == 0:
         return 0.0
-    if isinstance(f, AdmissibleWeight):
-        if f.form == "power":
-            return f.c * T**f.alpha / f.alpha
-        if f.form == "linear":
-            return f.c * T
+    if isinstance(f, AdmissibleWeight) and f.form == "power":
+        return f.c * T**f.alpha / f.alpha
     from scipy.integrate import quad
 
     # substitute x = exp(u): the integrand f(exp u) is smooth down to the cutoff

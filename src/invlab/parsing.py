@@ -1,12 +1,10 @@
-"""Literals for the command line: complex numbers, domains, maps, CSV floats.
+"""Literals for the command line: complex numbers, domains, CSV floats.
 
 Complex literal grammar: ``a``, ``bi``, ``a+bi``, ``a-bi`` with decimal or
 scientific components; a bare ``i`` (optionally signed) means the unit.
 Domain literals: ``disc``, ``halfplane``, ``halfdisc:r=<r>``, ``ball:n=<n>``,
 ``polydisc:r=<r1>,<r2>,...``, ``ellipsoid:p=<p1>,<p2>``, and
-``cap(<domain>;c=<point>;r=<r>)`` for ball intersections.  Map literals:
-``halfdisc2halfplane``, ``cayley``, ``scale:<lambda>``,
-``mobius:<a>,<b>,<c>,<d>``.
+``cap(<domain>;c=<point>;r=<r>)`` for ball intersections.
 
 Floats print with 17 significant digits so CSV round-trips doubles exactly.
 """
@@ -15,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import conformal, geometry
+from . import geometry
 
 
 def parse_complex(text: str) -> complex:
@@ -96,23 +94,6 @@ def parse_domain(text: str) -> geometry.Domain:
     raise ValueError(f"unknown domain literal {text!r}")
 
 
-def parse_map(text: str) -> conformal.MapDescriptor:
-    s = text.strip()
-    if s == "halfdisc2halfplane":
-        return conformal.HalfDiscToHalfPlane()
-    if s == "cayley":
-        return conformal.Cayley()
-    if s.startswith("scale:"):
-        return conformal.Scale(parse_complex(s[len("scale:") :]))
-    if s.startswith("mobius:"):
-        parts = s[len("mobius:") :].split(",")
-        if len(parts) != 4:
-            raise ValueError("mobius literal needs four coefficients")
-        a, b, c, d = (parse_complex(p) for p in parts)
-        return conformal.Mobius(a, b, c, d)
-    raise ValueError(f"unknown map literal {text!r}")
-
-
 def format_float(x: float) -> str:
     """17 significant digits with a dot separator; round-trip exact for doubles."""
     return format(float(x), ".17g")
@@ -122,24 +103,3 @@ def format_complex(z: complex) -> str:
     z = complex(z)
     sign = "+" if z.imag >= 0 else "-"
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
-
-
-def domain_literal(domain: geometry.Domain) -> str:
-    if isinstance(domain, geometry.UnitDisc):
-        return "disc"
-    if isinstance(domain, geometry.HalfPlane):
-        return "halfplane"
-    if isinstance(domain, geometry.HalfDiscScaled):
-        return f"halfdisc:r={format_float(domain.radius)}"
-    if isinstance(domain, geometry.Ball):
-        return f"ball:n={domain.n}"
-    if isinstance(domain, geometry.Polydisc):
-        return "polydisc:r=" + ",".join(format_float(r) for r in domain.radii)
-    if isinstance(domain, geometry.ReinhardtEllipsoid):
-        return "ellipsoid:p=" + ",".join(format_float(p) for p in domain.exponents)
-    if isinstance(domain, geometry.BallIntersection):
-        c = ",".join(format_complex(z) for z in domain.center.coords)
-        return (
-            f"cap({domain_literal(domain.base)};c={c};r={format_float(domain.radius)})"
-        )
-    raise ValueError(f"no literal for {domain!r}")

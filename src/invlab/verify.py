@@ -1,15 +1,13 @@
 """Named verification suites with pinned tolerances.
 
 Each suite returns ``{"pass": bool, "measured": {...}, "tolerance": float}``;
-``run_verify`` executes a selection (possibly in a thread pool capped by
-INVLAB_THREADS) and aggregates results in a fixed order, so the emitted
-report is byte-identical across runs with the same seed.
+``run_verify`` runs a selection one suite after another in registry order,
+so the emitted report is byte-identical across runs with the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -379,12 +377,9 @@ SUITES: dict[str, Callable[[int], dict]] = {
 
 
 def run_verify(
-    names: list[str],
-    seed: int,
-    threads: int = 1,
-    tolerance_overrides: dict | None = None,
+    names: list[str], seed: int, tolerance_overrides: dict | None = None
 ) -> tuple[dict, bool]:
-    """Run the named suites; results aggregate in registry order regardless of threads."""
+    """Run the named suites in registry order."""
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
@@ -393,11 +388,5 @@ def run_verify(
         if bad:
             raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
     tolerances = {**TOLERANCES, **(tolerance_overrides or {})}
-    ordered = [n for n in SUITES if n in names]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(SUITES[n], seed, tolerances) for n in ordered}
-            report = {n: futures[n].result() for n in ordered}
-    else:
-        report = {n: SUITES[n](seed, tolerances) for n in ordered}
+    report = {n: fn(seed, tolerances) for n, fn in SUITES.items() if n in names}
     return report, all(r["pass"] for r in report.values())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invlab
-from invlab import cli, conformal, geometry, parsing
+from invlab import cli, geometry, parsing
 from invlab.distances import kobayashi_distance
 
 
@@ -63,23 +63,6 @@ def test_parse_domain_literals():
         parsing.parse_domain("cap(disc;c=0.5)")
 
 
-def test_domain_literal_round_trip():
-    for text in ["disc", "halfplane", "ball:n=3", "halfdisc:r=0.5"]:
-        assert parsing.domain_literal(parsing.parse_domain(text)).startswith(
-            text.split(":")[0]
-        )
-
-
-def test_parse_map_literals():
-    assert parsing.parse_map("halfdisc2halfplane") == conformal.HalfDiscToHalfPlane()
-    assert parsing.parse_map("cayley") == conformal.Cayley()
-    assert parsing.parse_map("scale:2+i") == conformal.Scale(2 + 1j)
-    m = parsing.parse_map("mobius:-1,i,1,i")
-    assert m == conformal.Mobius(-1, 1j, 1, 1j)
-    with pytest.raises(ValueError):
-        parsing.parse_map("zipper")
-
-
 def test_cli_distance(capsys):
     code = cli.run_command(
         ["distance", "--domain", "disc", "--z", "0", "--w", "0.5", "--which", "k"]
@@ -117,24 +100,6 @@ def test_cli_gap_row(capsys):
     assert float(cells[5]) == pytest.approx(0.5 * math.log(49 / 45), abs=1e-12)
 
 
-def test_cli_distance_gap_via_halfdisc(capsys):
-    code = cli.run_command(
-        [
-            "distance",
-            "--domain",
-            "halfdisc:r=1",
-            "--z",
-            "0+0.5i",
-            "--w",
-            "0+0.25i",
-            "--which",
-            "gap",
-        ]
-    )
-    assert code == 0
-    assert "k_loc" in capsys.readouterr().out
-
-
 def test_cli_validation_errors(capsys):
     assert cli.run_command(["distance", "--domain", "disc", "--z", "zz", "--w", "0"]) == 1
     assert "--z" in capsys.readouterr().err
@@ -142,13 +107,6 @@ def test_cli_validation_errors(capsys):
     assert "--domain" in capsys.readouterr().err
     assert cli.run_command(["distance", "--domain", "disc", "--z", "2", "--w", "0"]) == 1
     assert "--z" in capsys.readouterr().err
-    assert (
-        cli.run_command(
-            ["distance", "--domain", "disc", "--z", "0", "--w", "0.5", "--which", "gap"]
-        )
-        == 1
-    )
-    assert "--which" in capsys.readouterr().err
 
 
 def test_cli_geodesic_writes_curve(tmp_path, capsys):
@@ -310,11 +268,50 @@ def test_config_solver_applies_to_geodesic(tmp_path):
     assert len(json.loads(out.read_text())["nodes"]) == 17
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"sead": 7},
+        {"format": "csv"},
+        {"solver": {"nodes": 17}},
+        {"solver": {"node_count": 18}},
+        {"solver": {"max_iterations": 2.5}},
+        [42],
+        {"seed": "abc"},
+        {"tolerances": {"excursion": "loose"}},
+    ],
+    ids=[
+        "unknown-key",
+        "stale-format",
+        "unknown-solver-key",
+        "bad-solver-value",
+        "fractional-iteration-count",
+        "not-an-object",
+        "bad-seed",
+        "bad-tolerance",
+    ],
+)
+def test_config_faults_name_the_flag(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.run_command(["--config", str(cfg), "gap", "--z", "0.5i", "--w", "0.25i"]) == 1
+    captured = capsys.readouterr()
+    assert "--config" in captured.err
+    assert captured.out == ""
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        cli.RunConfig(format="xml")
-    with pytest.raises(ValueError):
         cli.RunConfig(tolerances={"bogus": 1.0})
+
+
+def test_run_verify_keeps_registry_order():
+    from invlab import verify
+
+    names = ["gap_decomposition", "weight_bounds", "exponent_fits"]
+    report, ok = verify.run_verify(names[::-1], 42)
+    assert ok
+    assert list(report) == names  # registry order, not argument order
 
 
 def test_import_loads_no_scipy():
@@ -341,18 +338,3 @@ def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
     )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_thread_pool_keeps_results_identical(monkeypatch):
-    from invlab import verify
-
-    names = ["gap_decomposition", "weight_bounds", "exponent_fits"]
-    serial, ok1 = verify.run_verify(names, 42, threads=1)
-    pooled, ok2 = verify.run_verify(names, 42, threads=3)
-    assert ok1 and ok2
-    assert serial == pooled
-    assert list(serial) == names  # registry order, not completion order
-    monkeypatch.setenv("INVLAB_THREADS", "4")
-    assert cli.thread_cap() == 4
-    monkeypatch.setenv("INVLAB_THREADS", "junk")
-    assert cli.thread_cap() == 1
