@@ -62,7 +62,6 @@ from .distances import (
     gap_term_separation_leading,
     kobayashi_distance,
     localization_gap,
-    localization_gap_halfdisc,
     mobius_halfplane,
 )
 from .geodesics import (

@@ -55,16 +55,8 @@ def default_truncation(domain: Domain) -> int:
     return DEFAULT_TRUNCATION.get(dimension(domain), 20)
 
 
-def _require_reinhardt(domain: Domain) -> None:
-    if not isinstance(domain, (UnitDisc, Ball, Polydisc, ReinhardtEllipsoid)):
-        raise UnsupportedDomainError(
-            f"{type(domain).__name__} is not a Reinhardt catalog member"
-        )
-
-
 def monomial_moment(domain: Domain, alpha) -> float:
     """integral over the domain of |z^alpha|^2 dV, alpha a multi-index."""
-    _require_reinhardt(domain)
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != dimension(domain) or any(a < 0 for a in alpha):
         raise ValueError("multi-index must be nonnegative and match the dimension")
@@ -81,17 +73,21 @@ def monomial_moment(domain: Domain, alpha) -> float:
         for a in alpha:
             out *= math.factorial(a)
         return out / math.factorial(n + sum(alpha))
-    # Reinhardt ellipsoid: peel coordinates off one radial integral at a time,
-    # int_0^1 rho^(2a+1) (1 - rho^(2p))^s d rho = B((a+1)/p, s+1) / (2p);
-    # Beta, not a Gamma ratio, since Gamma overflows past 171.6
-    from scipy.special import beta
+    if isinstance(domain, ReinhardtEllipsoid):
+        # peel coordinates off one radial integral at a time,
+        # int_0^1 rho^(2a+1) (1 - rho^(2p))^s d rho = B((a+1)/p, s+1) / (2p);
+        # Beta, not a Gamma ratio, since Gamma overflows past 171.6
+        from scipy.special import beta
 
-    p = domain.exponents
-    out = (2.0 * math.pi) ** len(alpha)
-    for j, (a, pj) in enumerate(zip(alpha, p)):
-        s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
-        out *= beta((a + 1) / pj, s + 1.0) / (2.0 * pj)
-    return float(out)
+        p = domain.exponents
+        out = (2.0 * math.pi) ** len(alpha)
+        for j, (a, pj) in enumerate(zip(alpha, p)):
+            s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
+            out *= beta((a + 1) / pj, s + 1.0) / (2.0 * pj)
+        return float(out)
+    raise UnsupportedDomainError(
+        f"{type(domain).__name__} is not a Reinhardt catalog member"
+    )
 
 
 @dataclass(frozen=True)

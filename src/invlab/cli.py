@@ -21,13 +21,11 @@ import numpy as np
 from . import bergman as bergman_lab
 from . import distances, geodesics, localization, metrics, parsing, sampling, verify
 from .geometry import (
-    Ball,
     DimensionMismatchError,
     Domain,
     EmptyIntersectionError,
     HalfDiscScaled,
     MembershipError,
-    UnitDisc,
     UnsupportedDomainError,
     dimension,
     member_coords,
@@ -152,13 +150,11 @@ def _geodesic_oracle(domain: Domain, metric: str):
     """Distance oracle matching the chosen metric, or None when unavailable."""
     if metric == "kobayashi":
         return distances.distance_batch(domain)
-    scale = None
-    if isinstance(domain, UnitDisc):
-        scale = math.sqrt(2.0) if metric == "bergman" else 1.0
-    elif isinstance(domain, Ball):
-        scale = math.sqrt(domain.n + 1) if metric == "bergman" else 1.0
+    scale = metrics.bergman_over_kobayashi(domain)
     if scale is None:
         return None
+    if metric == "nbergman":
+        scale = 1.0
     base = distances.distance_batch(domain)
     return lambda Z, W: scale * base(Z, W)
 

@@ -105,8 +105,14 @@ def _check_source(m: MapDescriptor, z: complex) -> None:
     The catalog maps extend holomorphically across the boundary (away from
     their singular point), so closure points are allowed; this keeps the
     closed forms evaluable at distinguished boundary points while still
-    refusing points that are simply out of range.
+    refusing points that are simply out of range.  A composition checks each
+    part at the point that part receives.
     """
+    if isinstance(m, Composition):
+        for part in reversed(m.maps):
+            _check_source(part, z)
+            z = _apply(part, z)
+        return
     if isinstance(m, Mobius):
         if abs(m.c * z + m.d) == 0.0:
             raise MembershipError("point is the pole of the Mobius map")
@@ -166,10 +172,6 @@ def apply(m: MapDescriptor, z: complex) -> complex:
     """Evaluate the map at a point of its source domain."""
     z = complex(z)
     _check_source(m, z)
-    if isinstance(m, Composition):
-        for part in reversed(m.maps):
-            z = apply(part, z)
-        return z
     return complex(_apply(m, z))
 
 
@@ -177,12 +179,6 @@ def derivative(m: MapDescriptor, z: complex) -> complex:
     """Complex derivative at a point of the source domain (chain rule for compositions)."""
     z = complex(z)
     _check_source(m, z)
-    if isinstance(m, Composition):
-        deriv = 1.0 + 0j
-        for part in reversed(m.maps):
-            deriv *= derivative(part, z)
-            z = apply(part, z)
-        return deriv
     return complex(_derivative(m, z))
 
 

@@ -300,8 +300,3 @@ def localization_gap(z: complex, w: complex, radius: float = 1.0) -> GapDecompos
     gap = tb + ts
     residual = abs(gap - (k_local - k_global))
     return GapDecomposition(gap, tb, ts, residual, k_local, k_global)
-
-
-def localization_gap_halfdisc(z: complex, w: complex) -> GapDecomposition:
-    """The unit half-disc specialization of :func:`localization_gap`."""
-    return localization_gap(z, w, 1.0)

@@ -8,6 +8,11 @@ operations that need an interior point reject non-members with
 ``MembershipError`` instead of returning limiting values, because every
 quantity built on top of the catalog blows up at the boundary.
 
+One signed boundary distance answers three questions: it is the distance to
+the complement for a member and minus the distance to the closure otherwise,
+so z is a member iff it is positive, and a cap B(c, r) is nonempty iff minus
+it at c is below r (over products, caps and ellipsoids c must lie inside).
+
 Points and tangent vectors are stored as tuples of Python complex numbers
 (double precision throughout; no arbitrary precision is attempted).
 """
@@ -266,24 +271,20 @@ def contains(domain: Domain, z: PointLike) -> bool:
     """True iff z lies in the open domain; boundary points are excluded."""
     coords = as_coords(z)
     _check_dim(domain, coords)
-    if isinstance(domain, UnitDisc):
-        return abs(coords[0]) < 1.0
-    if isinstance(domain, HalfPlane):
-        return coords[0].imag > 0.0
-    if isinstance(domain, HalfDiscScaled):
-        return coords[0].imag > 0.0 and abs(coords[0]) < domain.radius
-    if isinstance(domain, Ball):
-        return float(_norm(coords)) < 1.0
-    if isinstance(domain, Polydisc):
-        return all(abs(c) < r for c, r in zip(coords, domain.radii))
+    return _contains(domain, coords)
+
+
+def _contains(domain: Domain, coords: np.ndarray) -> bool:
+    # an ellipsoid's boundary distance is an SLSQP projection, and products and
+    # caps may hold one, so these three test membership directly
     if isinstance(domain, Product):
-        return all(contains(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
+        return all(_contains(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
     if isinstance(domain, BallIntersection):
         cap = _norm(coords - as_coords(domain.center)) < domain.radius
-        return bool(cap) and contains(domain.base, coords)
+        return bool(cap) and _contains(domain.base, coords)
     if isinstance(domain, ReinhardtEllipsoid):
         return float(np.sum(np.abs(coords) ** (2 * np.asarray(domain.exponents)))) < 1.0
-    raise UnsupportedDomainError(f"unknown domain {domain!r}")
+    return _signed(domain, coords) > 0.0
 
 
 def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarray:
@@ -296,27 +297,39 @@ def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarr
 
 def boundary_distance(domain: Domain, z: PointLike) -> float:
     """Euclidean distance from an interior point to the complement of the domain."""
-    return _delta(domain, member_coords(domain, z))
+    return _signed(domain, member_coords(domain, z))
 
 
-def _delta(domain: Domain, coords: np.ndarray) -> float:
+def _signed(domain: Domain, coords: np.ndarray) -> float:
+    """The signed boundary distance; off the domain it is exact for the disc,
+    half-plane, half-disc, ball and polydisc, and never asked for elsewhere."""
     if isinstance(domain, UnitDisc):
         return 1.0 - abs(coords[0])
     if isinstance(domain, HalfPlane):
         return coords[0].imag
     if isinstance(domain, HalfDiscScaled):
-        return min(coords[0].imag, domain.radius - abs(coords[0]))
+        z, r = coords[0], domain.radius
+        inner = min(r - abs(z), z.imag)  # NaN first, so a NaN point is no member
+        if inner > 0.0:
+            return inner
+        w = complex(z.real, max(z.imag, 0.0))  # nearest point of the closure
+        if abs(w) > r:
+            w = w * (r / abs(w))
+        return -abs(z - w)
     if isinstance(domain, Ball):
         return 1.0 - float(_norm(coords))
     if isinstance(domain, Polydisc):
-        return min(r - abs(c) for c, r in zip(coords, domain.radii))
+        gaps = [r - abs(c) for c, r in zip(coords, domain.radii)]
+        if all(g > 0.0 for g in gaps):
+            return min(gaps)
+        return -math.hypot(*(max(0.0, -g) for g in gaps))
     if isinstance(domain, Product):
         # complement of a product is the union of "bad slab" cylinders
-        return min(_delta(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
+        return min(_signed(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
     if isinstance(domain, BallIntersection):
         to_sphere = domain.radius - float(_norm(coords - as_coords(domain.center)))
         # exact for the convex-with-convex intersections in the catalog
-        return min(_delta(domain.base, coords), to_sphere)
+        return min(_signed(domain.base, coords), to_sphere)
     if isinstance(domain, ReinhardtEllipsoid):
         return _ellipsoid_delta(domain, coords)
     raise UnsupportedDomainError(f"unknown domain {domain!r}")
@@ -371,32 +384,15 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
     return best
 
 
-def _distance_to_closure(domain: Domain, coords: np.ndarray) -> float:
-    """Euclidean distance from a point to the closed domain (0 if inside)."""
-    if isinstance(domain, HalfPlane):
-        return max(0.0, -coords[0].imag)
-    if isinstance(domain, UnitDisc):
-        return max(0.0, abs(coords[0]) - 1.0)
-    if isinstance(domain, Ball):
-        return max(0.0, float(_norm(coords)) - 1.0)
-    if isinstance(domain, Polydisc):
-        gaps = [max(0.0, abs(c) - r) for c, r in zip(coords, domain.radii)]
-        return float(np.hypot.reduce(gaps)) if len(gaps) > 1 else gaps[0]
-    if isinstance(domain, HalfDiscScaled):
-        w = complex(coords[0].real, max(coords[0].imag, 0.0))
-        if abs(w) > domain.radius:
-            w = w * (domain.radius / abs(w))
-        return abs(coords[0] - w)
-    raise UnsupportedDomainError(
-        "cannot verify cap nonemptiness against this base; place the center inside"
-    )
-
-
 def _cap_nonempty(base: Domain, center: ComplexPoint, radius: float) -> bool:
     coords = as_coords(center)
-    if contains(base, coords):
-        return True
-    return _distance_to_closure(base, coords) < radius
+    if isinstance(base, (Product, BallIntersection, ReinhardtEllipsoid)):
+        if _contains(base, coords):
+            return True
+        raise UnsupportedDomainError(
+            "cannot verify cap nonemptiness against this base; place the center inside"
+        )
+    return -_signed(base, coords) < radius
 
 
 def contains_batch(domain: Domain, Z: np.ndarray) -> np.ndarray:

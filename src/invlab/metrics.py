@@ -173,19 +173,18 @@ def kobayashi_density(domain: Domain) -> FinslerDensity:
     return FinslerDensity("kobayashi", domain, _kobayashi_core(domain))
 
 
+def bergman_over_kobayashi(domain: Domain) -> Optional[float]:
+    """The Bergman metric over the Kobayashi density where the catalog knows it
+    to be constant: sqrt(n + 1) on the disc and the ball; None elsewhere."""
+    if isinstance(domain, (UnitDisc, Ball)):
+        return math.sqrt(dimension(domain) + 1)
+    return None
+
+
 def _bergman_core(domain: Domain) -> Callable:
-    if isinstance(domain, UnitDisc):
-
-        def core(Z, X):
-            s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = math.sqrt(2.0) * np.abs(X[:, 0]) / s
-            return _masked(vals, s > 0.0)
-
-        return core
-    if isinstance(domain, Ball):
+    scale = bergman_over_kobayashi(domain)
+    if scale is not None:
         kob = _kobayashi_core(domain)
-        scale = math.sqrt(domain.n + 1)
 
         def core(Z, X):
             return scale * kob(Z, X)

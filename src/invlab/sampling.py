@@ -93,9 +93,4 @@ def domain_points(seed: int, count: int, domain, shrink: float = 0.9) -> np.ndar
         return ball_points(seed, count, domain.n, shrink)
     if isinstance(domain, g.Polydisc):
         return polydisc_points(seed, count, domain.radii, shrink)
-    if isinstance(domain, g.Product):
-        parts = []
-        for j, f in enumerate(domain.factors):
-            parts.append(domain_points(seed + 1000003 * (j + 1), count, f, shrink))
-        return np.concatenate(parts, axis=1)
     raise ValueError(f"no sampler for {type(domain).__name__}")

@@ -72,10 +72,9 @@ def test_composition_associativity():
     g = Scale(2.0)
     comp = Composition((g, F))
     for z in (0.5j, 0.1 + 0.2j, -0.3 + 0.4j):
-        two_step = apply(g, apply(F, z))
-        assert abs(apply(comp, z) - two_step) <= 1e-14
-        chain = derivative(g, apply(F, z)) * derivative(F, z)
-        assert abs(derivative(comp, z) - chain) <= 1e-12
+        # the same arithmetic as the map-by-map route, so the same bits
+        assert apply(comp, z) == apply(g, apply(F, z))
+        assert derivative(comp, z) == derivative(g, apply(F, z)) * derivative(F, z)
 
 
 def test_cayley_convention():
@@ -93,6 +92,10 @@ def test_source_domain_enforced():
         apply(Cayley(), 2.0)
     with pytest.raises(MembershipError):
         apply(Mobius(1, 0, 1, -1), 1.0)  # pole
+    outer = Composition((Cayley(), Scale(3.0)))  # 0.5 -> 1.5, outside Cayley's disc
+    for fn in (apply, derivative):
+        with pytest.raises(MembershipError):
+            fn(outer, 0.5)
 
 
 def test_mobius_validation():

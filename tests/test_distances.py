@@ -25,7 +25,6 @@ from invlab.distances import (
     ball_distance_batch,
     kobayashi_distance,
     localization_gap,
-    localization_gap_halfdisc,
     mobius_halfplane,
 )
 from invlab.geometry import (
@@ -112,11 +111,11 @@ def test_gap_term_separation_matches_classical_identity():
 
 
 def test_localization_gap_spot_pair():
-    g = localization_gap_halfdisc(0.5j, 0.25j)
+    g = localization_gap(0.5j, 0.25j)
     assert g.gap == pytest.approx(0.5 * math.log(1.25), abs=1e-13)
     assert g.residual <= 1e-13
     assert g.k_local - g.k_global == pytest.approx(g.gap, abs=1e-13)
-    same = localization_gap_halfdisc(0.3j, 0.3j)
+    same = localization_gap(0.3j, 0.3j)
     assert same.gap == 0.0
 
 
@@ -134,7 +133,7 @@ def test_gap_scaled_halfdisc():
     r = 0.25
     z, w = 0.1j, 0.05j
     g = localization_gap(z, w, radius=r)
-    unit = localization_gap_halfdisc(z / r, w / r)
+    unit = localization_gap(z / r, w / r)
     assert g.gap == pytest.approx(unit.gap, abs=1e-14)
     assert g.k_local == pytest.approx(unit.k_local, abs=1e-14)
     # while the half-plane distance is scale invariant

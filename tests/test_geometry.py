@@ -129,6 +129,58 @@ def test_distance_positive_iff_member(x, y):
                 boundary_distance(dom, z)
 
 
+def _cap_flips_at(base, center, d):
+    """A cap centred outside the base is nonempty iff its radius exceeds the
+    center's distance d to the closed base."""
+    assert isinstance(intersect_with_ball(base, center, d * (1 + 1e-6)), BallIntersection)
+    with pytest.raises(EmptyIntersectionError):
+        intersect_with_ball(base, center, d * (1 - 1e-6))
+
+
+def _corner(eps, phi, left):
+    z = 1.0 + eps * complex(math.cos(phi), math.sin(phi))
+    return -z.conjugate() if left else z
+
+
+# outside the r-scaled half-disc, in units of r: below the axis, beyond the
+# arc, and in a cone at the corner 1 (mirrored to -1) that meets both pieces
+_BELOW = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.0, -0.01))
+_BEYOND = st.builds(
+    lambda rho, theta: rho * complex(math.cos(theta), math.sin(theta)),
+    st.floats(1.01, 2.0),
+    st.floats(0.0, math.pi),
+)
+_CORNER = st.builds(
+    _corner, st.floats(0.01, 0.3), st.floats(-0.75 * math.pi, 0.25 * math.pi), st.booleans()
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.one_of(_BELOW, _BEYOND, _CORNER), radius=st.floats(0.3, 1.0))
+def test_cap_centered_outside_the_halfdisc(u, radius):
+    base, c = HalfDiscScaled(radius), radius * u
+    assert not contains(base, c)
+    _cap_flips_at(base, c, _halfdisc_brute_delta(c, radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    moduli=st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 0.99)),
+    excess=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    phases=st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    outside=st.sampled_from([(True, False), (False, True), (True, True)]),
+)
+def test_cap_centered_outside_the_polydisc(moduli, excess, phases, outside):
+    radii = (1.0, 0.5)
+    rho = [1 + e if out else m for m, e, out in zip(moduli, excess, outside)]
+    center = [
+        r * p * complex(math.cos(t), math.sin(t)) for r, p, t in zip(radii, rho, phases)
+    ]
+    # the closed polydisc is a product, so the gaps of its factors add in squares
+    gaps = [r * (p - 1) if out else 0.0 for r, p, out in zip(radii, rho, outside)]
+    _cap_flips_at(Polydisc(radii), center, math.sqrt(sum(g * g for g in gaps)))
+
+
 def test_cap_monotonicity():
     dom = UnitDisc()
     cap = intersect_with_ball(dom, 0.2, 0.5)

@@ -325,15 +325,24 @@ def test_import_loads_no_scipy():
 
 def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
     # the reach screen settles interior points without the SLSQP projection;
-    # the Beta moments still load scipy.special
+    # the Beta moments still load scipy.special; membership in a product or a
+    # cap over the ellipsoid never asks for its boundary distance either
     src = os.path.dirname(os.path.dirname(invlab.__file__))
     code = (
         "import sys\n"
         "from invlab.bergman import bergman_metric_numeric\n"
-        "from invlab.geometry import ReinhardtEllipsoid\n"
-        "bergman_metric_numeric(\n"
-        "    ReinhardtEllipsoid((1.0, 2.0)), (0.3, 0.2j), (1.0, 0.5), 20, 1e-3\n"
+        "from invlab.geometry import (\n"
+        "    HalfPlane, Product, ReinhardtEllipsoid, contains, intersect_with_ball\n"
         ")\n"
+        "e = ReinhardtEllipsoid((1.0, 2.0))\n"
+        "bergman_metric_numeric(e, (0.3, 0.2j), (1.0, 0.5), 20, 1e-3)\n"
+        "prod = Product((e, HalfPlane()))\n"
+        "assert contains(prod, (0.3, 0.2j, 1j))\n"
+        "assert not contains(prod, (0.3, 0.2j, -1j))\n"
+        "assert not contains(prod, (0.99, 0.9, 1j))\n"
+        "cap = intersect_with_ball(e, (0.3, 0.2j), 0.5)\n"
+        "assert contains(cap, (0.4, 0.1j))\n"
+        "assert not contains(cap, (0.9, 0.0))\n"
         "sys.exit('scipy.optimize' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
