@@ -206,7 +206,8 @@ def _first_coordinate(planar):
 
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Batch distance evaluator for a catalog domain, (m,n)x(m,n) -> (m,)."""
-    if isinstance(domain, UnitDisc):
+    if isinstance(domain, UnitDisc) or domain == Ball(1):
+        # Ball(1) is the disc, whose form has no projection w - Pw to cancel
         return _first_coordinate(disc_distance_batch)
     if isinstance(domain, HalfPlane):
         return _first_coordinate(halfplane_distance_batch)

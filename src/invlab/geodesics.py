@@ -11,9 +11,9 @@ own segment lengths, and the step is measured in metric units, so nodes near
 the boundary, where rho is large, move as far in the metric as nodes far from
 it.  Descent never accepts a worse curve, so the result cannot exceed the
 chord length; and no curve can undercut the true distance by more than the
-quadrature error.  Each descent iteration takes its whole finite-difference
-gradient in one batched density call; cores work row by row, so batching
-changes no value.
+quadrature error.  An iteration makes 3 density calls after an accepted step
+and 2 after a rejected one (the batched finite-difference gradient is retaken
+only once the nodes move); cores work row by row, so batching changes no value.
 
 The quality of a curve is certified after the fact: the deficit
 (sub-curve length) - (distance between its endpoints), maximized over a
@@ -40,8 +40,7 @@ from .geometry import (
 )
 from .metrics import FinslerDensity
 
-GAUSS_LO = 0.5 - 0.5 / math.sqrt(3.0)
-GAUSS_HI = 0.5 + 0.5 / math.sqrt(3.0)
+GAUSS = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)  # two-point Gauss nodes on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -110,30 +109,29 @@ class EpsilonCertificate:
             )
 
 
-def _segment_lengths(density: FinslerDensity, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gauss two-point lengths of segments a[i] -> b[i], (m, n) inputs, in one density call."""
-    d = b - a
-    m = len(d)
-    gauss = np.concatenate([a + GAUSS_LO * d, a + GAUSS_HI * d])
-    v = density.evaluate_batch(gauss, np.concatenate([d, d]))
-    # a zero segment contributes nothing even where the density is infinite
+def _segment_lengths(density: FinslerDensity, a, b, d=None) -> np.ndarray:
+    """Gauss two-point lengths of segments a[i] -> b[i] = a[i] + d[i], in one density call."""
+    d = b - a if d is None else d
+    m, n = d.shape
+    gauss = (a + GAUSS[:, None, None] * d).reshape(2 * m, n)
+    v = density.core(gauss, np.concatenate([d, d]))
     lengths = 0.5 * (v[:m] + v[m:])
-    zero = np.all(d == 0, axis=1)
-    if np.any(zero):
-        lengths = np.where(zero, 0.0, lengths)
+    if not d.all():
+        # a zero segment contributes nothing even where the density is infinite
+        lengths = np.where(np.all(d == 0, axis=1), 0.0, lengths)
     return lengths
+
+
+def _curve_length(density: FinslerDensity, nodes: np.ndarray) -> float:
+    return float(_segment_lengths(density, nodes[:-1], nodes[1:]).sum())
 
 
 def finsler_length(density: FinslerDensity, curve: Polyline) -> float:
     """Total quadrature length of the polyline under the density."""
-    return float(np.sum(_segment_lengths(density, curve.nodes[:-1], curve.nodes[1:])))
+    return _curve_length(density, curve.nodes)
 
 
-def _curve_length(density: FinslerDensity, nodes: np.ndarray) -> float:
-    return float(np.sum(_segment_lengths(density, nodes[:-1], nodes[1:])))
-
-
-def _redistribute(density: FinslerDensity, nodes: np.ndarray) -> np.ndarray:
+def _redistribute(density: FinslerDensity, nodes: np.ndarray, ramp: np.ndarray) -> np.ndarray:
     """Resample the polyline at uniform metric arclength (endpoints fixed).
 
     Left free, the nodes drift into configurations whose two-point quadrature
@@ -144,11 +142,13 @@ def _redistribute(density: FinslerDensity, nodes: np.ndarray) -> np.ndarray:
     the original polyline, hence inside a convex domain.
     """
     seg = _segment_lengths(density, nodes[:-1], nodes[1:])
-    total = float(np.sum(seg))
+    total = float(seg.sum())
     if total == 0.0 or not math.isfinite(total):
         return nodes
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    target = np.linspace(0.0, total, nodes.shape[0])
+    s = np.zeros(len(ramp))
+    np.cumsum(seg, out=s[1:])
+    # np.linspace(0, total, k) bit for bit, bar the last entry: out[-1] is the endpoint
+    target = ramp * (total / (len(ramp) - 1))
     out = np.empty_like(nodes)
     for j in range(nodes.shape[1]):
         out[:, j] = np.interp(target, s, nodes[:, j].real) + 1j * np.interp(
@@ -158,13 +158,12 @@ def _redistribute(density: FinslerDensity, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node_density(nodes: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def _node_density(d: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Density at each interior node along the curve, seg / |d| averaged over its two segments.
 
-    Returns a (k - 2, 1) column.  A node whose value is not a positive finite
-    number (a zero-length segment, an infinite density) gets +inf, so the
-    metric step leaves it in place."""
-    d = np.diff(nodes, axis=0)
+    ``d`` holds the segment differences.  Returns a (k - 2, 1) column.  A node
+    whose value is not a positive finite number (a zero-length segment, an
+    infinite density) gets +inf, so the metric step leaves it in place."""
     norm = np.sqrt((d.real**2 + d.imag**2).sum(axis=1))
     ratio = np.divide(seg, norm, out=np.full_like(seg, np.nan), where=norm > 0)
     rho = 0.5 * (ratio[:-1] + ratio[1:])
@@ -183,9 +182,10 @@ def _descend(
     (a natural-gradient step), and ``step`` bounds the largest metric
     displacement rho_i |displacement_i|.  Near the boundary rho varies by
     orders of magnitude along the curve, so one Euclidean step would be too
-    large at the ends or too small at the top.  An iteration makes 3 density
-    calls: the whole central-difference gradient, the resampling and the
-    proposal's segment lengths, which an accepted proposal carries forward."""
+    large at the ends or too small at the top.  A proposal costs 2 density
+    calls, its resampling and its segment lengths (kept if it is accepted);
+    the batched central-difference gradient is a third, taken only when the
+    nodes have moved."""
     k, n = nodes.shape
     if k <= 2:
         return nodes, _curve_length(density, nodes)
@@ -193,37 +193,48 @@ def _descend(
     # interior nodes shifted by +-h and +-ih per coordinate, in the gradient's order
     units = [(j, unit) for j in range(n) for unit in (1.0, 1j)]
     shifts = np.array([unit * h * np.eye(n)[j] for j, unit in units])[:, None, :]
+    shifts = np.stack([shifts, -shifts])  # x + (-y) is x - y, bit for bit
     left = np.tile(np.arange(k - 2), 2 * len(units))  # left neighbour of each shifted row
     rows = len(left)
-    nodes = _redistribute(density, nodes)
-    seg = _segment_lengths(density, nodes[:-1], nodes[1:])
-    length = float(np.sum(seg))
-    rho = _node_density(nodes, seg)
+    # gradient segments, refilled in place: ends[:2 rows] -> ends[rows:], left -> shifted -> right
+    ends = np.empty((3 * rows, n), dtype=complex)
+    shifted = ends[rows : 2 * rows].reshape(2, len(units), k - 2, n)
+    ramp = np.arange(k, dtype=float)
+    nodes = _redistribute(density, nodes, ramp)
+    d = nodes[1:] - nodes[:-1]
+    seg = _segment_lengths(density, nodes[:-1], nodes[1:], d)
+    length = float(seg.sum())
+    rho = _node_density(d, seg)
     step = 0.1 * length / (k - 1)
     window_mark = length
+    direction = None  # the gradient's step direction, None when the nodes have moved
     for it in range(config.max_iterations):
         mid = nodes[1:-1]
-        shifted = np.concatenate([mid + shifts, mid - shifts]).reshape(rows, n)
-        ends = np.concatenate([nodes[left], shifted, nodes[left + 2]])
-        both = _segment_lengths(density, ends[: 2 * rows], ends[rows:])
-        sums = (both[:rows] + both[rows:]).reshape(2, len(units), k - 2)
-        grad = np.zeros_like(mid)
-        for s, (j, unit) in enumerate(units):
-            grad[:, j] += unit * ((sums[0, s] - sums[1, s]) / (2.0 * h))
-        # rho_i |displacement_i| = step * |grad_i / rho_i| / gnorm
-        scaled = grad / rho
-        gnorm = float(np.max(np.linalg.norm(scaled, axis=1)))
-        if gnorm == 0.0 or not math.isfinite(gnorm):
-            break
+        if direction is None:
+            nodes.take(left, axis=0, out=ends[:rows])
+            np.add(mid, shifts, out=shifted)
+            nodes.take(left + 2, axis=0, out=ends[2 * rows :])
+            both = _segment_lengths(density, ends[: 2 * rows], ends[rows:])
+            sums = (both[:rows] + both[rows:]).reshape(2, len(units), k - 2)
+            diff = ((sums[0] - sums[1]) / (2.0 * h)).T
+            grad = diff[:, 0::2] + 1j * diff[:, 1::2]
+            # rho_i |displacement_i| = step * |grad_i / rho_i| / gnorm
+            scaled = grad / rho
+            gnorm = float(np.max(np.linalg.norm(scaled, axis=1)))
+            if gnorm == 0.0 or not math.isfinite(gnorm):
+                break
+            direction = scaled / rho
         candidate = nodes.copy()
-        candidate[1:-1] = mid - (step / gnorm) * (scaled / rho)
-        candidate = _redistribute(density, candidate)
-        cand_seg = _segment_lengths(density, candidate[:-1], candidate[1:])
-        cand_length = float(np.sum(cand_seg))
+        candidate[1:-1] = mid - (step / gnorm) * direction
+        candidate = _redistribute(density, candidate, ramp)
+        d = candidate[1:] - candidate[:-1]
+        cand_seg = _segment_lengths(density, candidate[:-1], candidate[1:], d)
+        cand_length = float(cand_seg.sum())
         if cand_length < length:
             nodes, length = candidate, cand_length
-            rho = _node_density(nodes, cand_seg)
+            rho = _node_density(d, cand_seg)
             step *= 1.25
+            direction = None
         else:
             step *= 0.5
             if step < 1e-16 * length:

@@ -18,8 +18,8 @@ RUNTIME_LIMITS = {
     "gap_asymptotics": 1.0,
     "planar_bound_shape": 2.0,
     "term_necessity": 1.0,
-    "geodesic_solver": 30.0,
-    "excursion": 10.0,
+    "geodesic_solver": 15.0,
+    "excursion": 5.0,
     "bergman_oracle": 5.0,
     "ordering_axioms": 2.0,
     "weight_bounds": 1.0,

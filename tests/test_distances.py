@@ -9,6 +9,7 @@ from invlab.distances import (
     DistanceValue,
     GapDecomposition,
     caratheodory_distance,
+    disc_distance_batch,
     disc_ratio,
     distance_batch,
     gap_term_boundary,
@@ -247,6 +248,20 @@ def test_ball_distance_batch_matches_per_row_automorphism(n):
     tol = 8.0 * eps * (want + np.linalg.norm(W, axis=1) / np.abs(1.0 - ip))
     assert np.all(np.abs(got - want) <= tol)
     assert np.all(np.abs(got[:220] - want[:220]) <= 8.0 * np.spacing(want[:220]))
+
+
+def test_ball_of_dimension_one_is_the_disc():
+    Z = ball_points(71, 4_000, 1, 0.95)
+    W = ball_points(72, 4_000, 1, 0.95)
+    # the first half short: 1e-9 .. 1e-3 apart
+    scale = 10.0 ** np.random.default_rng(73).uniform(-9.0, -3.0, 2_000)
+    W[:2_000] = Z[:2_000] + scale[:, None] * ball_points(74, 2_000, 1, 1.0)
+    want = disc_distance_batch(Z[:, 0], W[:, 0])
+    assert np.array_equal(distance_batch(Ball(1))(Z, W), want)
+    for z, w, d in zip(Z[::400, 0], W[::400, 0], want[::400]):
+        assert kobayashi_distance(Ball(1), z, w).value == d
+    # the automorphism route cancels w - P w in C^1 and misses on short pairs
+    assert not np.array_equal(ball_distance_batch(Z[:2_000], W[:2_000]), want[:2_000])
 
 
 def test_product_distance_is_max_of_factors():

@@ -184,8 +184,8 @@ def test_certificate_invariant():
 def _reference_segment_lengths(density, a, b):
     """Gauss two-point segment lengths with one density call per Gauss point."""
     d = b - a
-    v1 = density.evaluate_batch(a + geodesics.GAUSS_LO * d, d)
-    v2 = density.evaluate_batch(a + geodesics.GAUSS_HI * d, d)
+    v1 = density.evaluate_batch(a + (0.5 - 0.5 / math.sqrt(3.0)) * d, d)
+    v2 = density.evaluate_batch(a + (0.5 + 0.5 / math.sqrt(3.0)) * d, d)
     lengths = 0.5 * (v1 + v2)
     zero = np.all(d == 0, axis=1)
     if np.any(zero):
@@ -206,14 +206,31 @@ def _reference_node_density(nodes, seg):
     return rho
 
 
+def _reference_redistribute(density, nodes):
+    """Resampling at uniform metric arclength as first written: np.linspace and per-column np.interp."""
+    seg = _reference_segment_lengths(density, nodes[:-1], nodes[1:])
+    total = float(np.sum(seg))
+    if total == 0.0 or not math.isfinite(total):
+        return nodes
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    target = np.linspace(0.0, total, nodes.shape[0])
+    out = np.empty_like(nodes)
+    for j in range(nodes.shape[1]):
+        out[:, j] = np.interp(target, s, nodes[:, j].real) + 1j * np.interp(
+            target, s, nodes[:, j].imag
+        )
+    out[0], out[-1] = nodes[0], nodes[-1]
+    return out
+
+
 def _reference_descend(density, nodes, config):
-    """The descent with its gradient taken one shift at a time (8n segment sets)."""
+    """The descent with its gradient taken one shift at a time (8n segment sets), every iteration."""
     k, n = nodes.shape
     if k <= 2:
-        return nodes, geodesics._curve_length(density, nodes)
+        return nodes, float(np.sum(_reference_segment_lengths(density, nodes[:-1], nodes[1:])))
     h = config.finite_difference_step
-    nodes = geodesics._redistribute(density, nodes)
-    seg = geodesics._segment_lengths(density, nodes[:-1], nodes[1:])
+    nodes = _reference_redistribute(density, nodes)
+    seg = _reference_segment_lengths(density, nodes[:-1], nodes[1:])
     length = float(np.sum(seg))
     rho = _reference_node_density(nodes, seg)
     step = 0.1 * length / (k - 1)
@@ -239,8 +256,8 @@ def _reference_descend(density, nodes, config):
             break
         candidate = nodes.copy()
         candidate[1:-1] = mid - (step / gnorm) * (scaled / rho)
-        candidate = geodesics._redistribute(density, candidate)
-        cand_seg = geodesics._segment_lengths(density, candidate[:-1], candidate[1:])
+        candidate = _reference_redistribute(density, candidate)
+        cand_seg = _reference_segment_lengths(density, candidate[:-1], candidate[1:])
         cand_length = float(np.sum(cand_seg))
         if cand_length < length:
             nodes, length = candidate, cand_length
@@ -269,13 +286,14 @@ BATCH_CASES = [
     (kobayashi_density(Product((UnitDisc(), HalfPlane()))), (0.1, 1j), (0.3j, 0.5 + 2j)),
     (pullback(conformal.HalfDiscToHalfPlane(), HP), 0.5j, -0.3 + 0.2j),
     (custom_density(_halfplane_row, HalfPlane()), -0.3 + 0.4j, 0.2 + 1.2j),
+    (HP, -1e-3 + 1e-6j, 1e-3 + 1e-6j),  # hugs the boundary; rejects steps
 ]
 
 
 @pytest.mark.parametrize(
     "density, z, w",
     BATCH_CASES,
-    ids=["disc", "halfplane", "halfdisc", "ball2", "product", "pullback", "custom"],
+    ids=["disc", "halfplane", "halfdisc", "ball2", "product", "pullback", "custom", "edge"],
 )
 def test_batched_descent_bit_identical_to_per_shift(monkeypatch, density, z, w):
     config = SolverConfig(node_count=17, refinement_levels=2, max_iterations=12)
@@ -293,8 +311,12 @@ def test_batched_descent_bit_identical_to_per_shift(monkeypatch, density, z, w):
 
 @pytest.mark.parametrize(
     "domain, z, w",
-    [(UnitDisc(), 0.3 + 0.4j, -0.2 - 0.5j), (Ball(2), (0.3, 0.1j), (-0.2 + 0.1j, 0.4))],
-    ids=["disc", "ball2"],
+    [
+        (UnitDisc(), 0.3 + 0.4j, -0.2 - 0.5j),
+        (Ball(2), (0.3, 0.1j), (-0.2 + 0.1j, 0.4)),
+        (HalfPlane(), -1e-3 + 1e-6j, 1e-3 + 1e-6j),
+    ],
+    ids=["disc", "ball2", "edge"],
 )
 def test_descent_makes_three_density_calls_per_iteration(domain, z, w):
     plain = kobayashi_density(domain)
@@ -310,9 +332,16 @@ def test_descent_makes_three_density_calls_per_iteration(domain, z, w):
     nodes = (1 - t) * as_coords(z) + t * as_coords(w)
     geodesics._descend(density, nodes, SolverConfig(max_iterations=iterations))
     n = nodes.shape[1]
-    # resampling and length up front, then gradient, resampling and length per iteration
+    gradient_rows = 16 * n * (k - 2)  # 4n shifted copies, 2 segments, 2 Gauss points
+    gradients = rows.count(gradient_rows)
+    # resampling and length up front, then resampling and length per iteration,
+    # plus the gradient at the start and after each accepted step
     assert len(rows) <= 2 + 3 * iterations
-    assert max(rows) == 16 * n * (k - 2)  # 4n shifted copies, 2 segments, 2 Gauss points
+    assert max(rows) == gradient_rows
+    assert len(rows) == 2 + 2 * iterations + gradients
+    # every one of these pairs rejects a step within 7 iterations, and a
+    # rejected step reuses the gradient
+    assert 1 <= gradients < iterations
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
