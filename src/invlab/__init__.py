@@ -56,9 +56,7 @@ from .distances import (
     DistanceValue,
     GapDecomposition,
     caratheodory_distance,
-    gap_term_boundary,
     gap_term_boundary_leading,
-    gap_term_separation,
     gap_term_separation_leading,
     kobayashi_distance,
     localization_gap,

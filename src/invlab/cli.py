@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,19 +43,11 @@ class FlagError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 42
-    tolerances: dict = field(default_factory=dict)
     solver: geodesics.SolverConfig = geodesics.SolverConfig()
     output_path: str = ""
 
-    def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if name not in verify.TOLERANCES:
-                raise ValueError(f"unknown tolerance name {name!r}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"tolerance {name!r} must be a number")
 
-
-CONFIG_TYPES = {"seed": int, "tolerances": dict, "solver": dict, "output_path": str}
+CONFIG_TYPES = {"seed": int, "solver": dict, "output_path": str}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -75,7 +67,6 @@ def load_config(path: str | None) -> RunConfig:
                 raise ValueError(f"{key} must be of type {CONFIG_TYPES[key].__name__}")
         return RunConfig(
             seed=raw.get("seed", 42),
-            tolerances=raw.get("tolerances", {}),
             solver=geodesics.SolverConfig(**raw.get("solver", {})),
             output_path=raw.get("output_path", ""),
         )
@@ -229,31 +220,32 @@ def _sweep_rows(family: str, region: float, samples: int, seed: int):
         if not (0.0 < region < 1.0):
             raise FlagError("--region", "imaginary-axis sweeps need region in (0, 1)")
         ts = np.geomspace(region * 1e-3, region, samples)
-        pairs = [(1j * t, 0.5j * t) for t in ts]
+        z, w = 1j * ts, 0.5j * ts
+        rhs = localization.two_term_gap_bound(z, w)
     elif family == "random-cap":
         if not (0.0 < region < 1.0):
             raise FlagError("--region", "random-cap sweeps need region in (0, 1)")
         z, w = sampling.halfdisc_pairs(seed, samples, region)
         ts = np.abs(z - w)
-        pairs = list(zip(z, w))
+        rhs = localization.planar_gap_bound(1.0, z, w, z.imag, w.imag)
     elif family == "normal":
         if not (0.0 < region <= 1.0):
             raise FlagError("--region", "normal sweeps need region in (0, 1]")
         ts = region * 2.0 ** -(np.arange(samples) + 6.0)
-        pairs = [(2j * t, 1j * t) for t in ts]
+        z, w = 2j * ts, 1j * ts
+        rhs = localization.two_term_gap_bound(z, w)
     else:
         raise FlagError("--family", f"unknown family {family!r}")
-    rows = []
-    for t, (z, w) in zip(ts, pairs):
-        g = distances.localization_gap(complex(z), complex(w))
-        if family == "random-cap":
-            rhs = localization.planar_gap_bound(
-                1.0, complex(z), complex(w), z.imag, w.imag
-            )
-        else:
-            rhs = localization.two_term_gap_bound(complex(z), complex(w))
-        rows.append((float(t), complex(z), complex(w), g.gap, rhs, g.gap / rhs))
-    return rows
+    # every accepted region puts the points inside the half-disc; only the
+    # bound can underflow, on the smallest points of a long or tiny sweep
+    if not np.all(rhs > 0.0):
+        raise FlagError(
+            "--samples", "the bound underflows to zero; use fewer samples or a larger region"
+        )
+    tb, tsep = distances.gap_terms_batch(z, w)
+    gap = tb + tsep
+    columns = (ts, z, w, gap, rhs, gap / rhs)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
@@ -283,7 +275,7 @@ def cmd_verify(args, config: RunConfig) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else config.seed
     try:
-        report, ok = verify.run_verify(names, seed, config.tolerances or None)
+        report, ok = verify.run_verify(names, seed)
     except ValueError as exc:
         raise FlagError("--suite", str(exc))
     for name, entry in report.items():

@@ -25,8 +25,9 @@ The localization gap on the half-disc splits exactly into two terms:
 * a boundary term, log of 1 plus a quantity proportional to Im z Im w, and
 * a separation term, -log(1 - |z - w|^2 / |1 - z conj w|^2) / 2,
 
-and the gap is always computed by both routes (term sum, and difference of
-the two distances) with the disagreement stored as a residual.
+and ``localization_gap`` computes the gap by both routes (term sum, and
+difference of the two distances) with the disagreement stored as a residual.
+Sweep tables take the term sum from ``gap_terms_batch`` alone.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from .geometry import (
     Domain,
     HalfDiscScaled,
     HalfPlane,
-    MembershipError,
     PointLike,
     Polydisc,
     Product,
     UnitDisc,
     UnsupportedDomainError,
+    _modulus,
     max_over_factors,
     member_coords,
 )
@@ -232,10 +233,9 @@ def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 def mobius_halfplane(z: complex, w: complex) -> float:
     """The invariant ratio |z - w| / |z - conj w| for points of the upper half-plane."""
-    z, w = complex(z), complex(w)
-    if z.imag <= 0 or w.imag <= 0:
-        raise MembershipError("both points must lie in the upper half-plane")
-    return float(halfplane_ratio(z, w))
+    z = member_coords(HalfPlane(), z, "z")
+    w = member_coords(HalfPlane(), w, "w")
+    return float(halfplane_ratio(z[0], w[0]))
 
 
 def kobayashi_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
@@ -252,35 +252,27 @@ def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> Distanc
     return kobayashi_distance(domain, z, w)
 
 
-def gap_term_boundary(z: complex, w: complex) -> float:
-    """Gap term controlled by boundary proximity: it carries the factor Im z Im w."""
-    member_coords(HalfDiscScaled(1.0), z, "z")
-    member_coords(HalfDiscScaled(1.0), w, "w")
-    return float(gap_terms_batch(complex(z), complex(w))[0])
-
-
-def gap_term_separation(z: complex, w: complex) -> float:
-    """Gap term controlled by separation: -log(1 - |z-w|^2/|1 - z conj w|^2) / 2."""
-    member_coords(HalfDiscScaled(1.0), z, "z")
-    member_coords(HalfDiscScaled(1.0), w, "w")
-    return float(gap_terms_batch(complex(z), complex(w))[1])
-
-
-def gap_term_boundary_leading(z: complex, w: complex) -> float:
-    """Small-point leading form of the boundary term."""
-    z, w = complex(z), complex(w)
-    if z == w:
+def _distinct(z, w):
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if np.any(z == w):
         raise ValueError("leading forms need distinct points")
-    zw = abs(z - w)
-    return 2.0 * zw * z.imag * w.imag / (zw + abs(z - w.conjugate()))
+    return z, w
 
 
-def gap_term_separation_leading(z: complex, w: complex) -> float:
-    """Small-point leading form of the separation term: |z - w|^2 / 2."""
-    z, w = complex(z), complex(w)
-    if z == w:
-        raise ValueError("leading forms need distinct points")
-    return 0.5 * abs(z - w) ** 2
+def gap_term_boundary_leading(z, w):
+    """Small-point leading form of the boundary term, for scalars or arrays:
+    2 |z - w| Im z Im w / (|z - w| + |z - conj w|)."""
+    z, w = _distinct(z, w)
+    zw = _modulus(z - w)
+    return 2.0 * zw * z.imag * w.imag / (zw + _modulus(z - np.conj(w)))
+
+
+def gap_term_separation_leading(z, w):
+    """Small-point leading form of the separation term, |z - w|^2 / 2, for
+    scalars or arrays."""
+    z, w = _distinct(z, w)
+    return 0.5 * _modulus(z - w) ** 2
 
 
 def localization_gap(z: complex, w: complex, radius: float = 1.0) -> GapDecomposition:

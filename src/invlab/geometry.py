@@ -19,6 +19,7 @@ Points and tangent vectors are stored as tuples of Python complex numbers
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -306,7 +307,8 @@ def _signed(domain: Domain, coords: np.ndarray) -> float:
     if isinstance(domain, UnitDisc):
         return 1.0 - abs(coords[0])
     if isinstance(domain, HalfPlane):
-        return coords[0].imag
+        # the only unbounded member: a non-finite point has no distance, and is no member
+        return coords[0].imag if cmath.isfinite(coords[0]) else math.nan
     if isinstance(domain, HalfDiscScaled):
         z, r = coords[0], domain.radius
         inner = min(r - abs(z), z.imag)  # NaN first, so a NaN point is no member
@@ -401,7 +403,7 @@ def contains_batch(domain: Domain, Z: np.ndarray) -> np.ndarray:
     if isinstance(domain, UnitDisc):
         return _modulus(Z[:, 0]) < 1.0
     if isinstance(domain, HalfPlane):
-        return Z[:, 0].imag > 0.0
+        return (Z[:, 0].imag > 0.0) & np.isfinite(Z[:, 0])
     if isinstance(domain, HalfDiscScaled):
         return (Z[:, 0].imag > 0.0) & (_modulus(Z[:, 0]) < domain.radius)
     if isinstance(domain, Ball):

@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distances import gap_terms_batch
+from . import distances
+from .geometry import _modulus
 
 WeightLike = Callable[[float], float]
 
@@ -233,12 +234,11 @@ def refined_excursion_bound(
     )
 
 
-def planar_gap_bound(
-    C: float, z: complex, w: complex, delta_z: float, delta_w: float
-) -> float:
-    """C |z-w| (|z-w| + delta_z^(1/2) delta_w^(1/2)), the sharp planar shape."""
-    sep = abs(complex(z) - complex(w))
-    return C * sep * (sep + math.sqrt(delta_z * delta_w))
+def planar_gap_bound(C: float, z, w, delta_z, delta_w):
+    """C |z-w| (|z-w| + delta_z^(1/2) delta_w^(1/2)), the sharp planar shape,
+    for scalars or arrays."""
+    sep = _modulus(np.asarray(z, dtype=complex) - np.asarray(w, dtype=complex))
+    return C * sep * (sep + np.sqrt(delta_z * delta_w))
 
 
 def near_boundary_upper_bound(
@@ -323,19 +323,20 @@ class SweepRow:
     ratio: float
 
 
-def two_term_gap_bound(z: complex, w: complex) -> float:
-    """|z-w| (|z-w|/2 + min(Im z, Im w)), the two-term gap shape."""
-    sep = abs(z - w)
-    return sep * (0.5 * sep + min(z.imag, w.imag))
+def two_term_gap_bound(z, w):
+    """|z-w| (|z-w|/2 + min(Im z, Im w)), the two-term gap shape, for scalars or arrays."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    sep = _modulus(z - w)
+    return sep * (0.5 * sep + np.minimum(z.imag, w.imag))
 
 
-def _gap(z, w) -> float:
-    tb, ts = gap_terms_batch(np.asarray([z]), np.asarray([w]))
-    return float(tb[0] + ts[0])
+_FAMILIES = ("balanced", "drop-boundary", "drop-separation")
 
 
 def sharpness_sweep(t_values: Sequence[float]) -> list[SweepRow]:
-    """Gap-versus-bound rows for three imaginary-axis families.
+    """Gap-versus-bound rows for three imaginary-axis families, one row per
+    family for each t in turn.
 
     * ``balanced``: w = i t / 2, ratio against the full two-term bound; the
       ratio tends to 1 as t -> 0, so the bound is tight with constant 1.
@@ -346,27 +347,17 @@ def sharpness_sweep(t_values: Sequence[float]) -> list[SweepRow]:
       boundary, ratio against the min(Im)-only bound |z-w| min(Im); the ratio
       blows up, so the |z-w|/2 term cannot be removed.
     """
-    rows: list[SweepRow] = []
-    for t in t_values:
-        t = float(t)
-        if not (0.0 < t <= 0.1):
-            raise ValueError("sweep parameters must lie in (0, 0.1]")
-        z = 1j * t
-        cases = (
-            ("balanced", 0.5j * t, lambda zz, ww: two_term_gap_bound(zz, ww)),
-            (
-                "drop-boundary",
-                1j * t * (1.0 - 1e-6),
-                lambda zz, ww: abs(zz - ww) * 0.5 * abs(zz - ww),
-            ),
-            (
-                "drop-separation",
-                1j * t * t,
-                lambda zz, ww: abs(zz - ww) * min(zz.imag, ww.imag),
-            ),
-        )
-        for family, w, bound_fn in cases:
-            gap = _gap(z, w)
-            bound = bound_fn(z, w)
-            rows.append(SweepRow(family, t, z, w, gap, bound, gap / bound))
-    return rows
+    ts = [float(t) for t in t_values]
+    if not all(0.0 < t <= 0.1 for t in ts):
+        raise ValueError("sweep parameters must lie in (0, 0.1]")
+    z = np.array([1j * t for t in ts for _ in _FAMILIES])
+    w = np.array([v for t in ts for v in (0.5j * t, 1j * t * (1.0 - 1e-6), 1j * t * t)])
+    tb, tsep = distances.gap_terms_batch(z, w)
+    gap = tb + tsep
+    bound = np.empty_like(gap)
+    bound[0::3] = two_term_gap_bound(z[0::3], w[0::3])
+    bound[1::3] = distances.gap_term_separation_leading(z[1::3], w[1::3])
+    bound[2::3] = _modulus(z[2::3] - w[2::3]) * np.minimum(z[2::3].imag, w[2::3].imag)
+    columns = (np.repeat(ts, 3), z, w, gap, bound)
+    rows = zip(_FAMILIES * len(ts), *(c.tolist() for c in columns))
+    return [SweepRow(f, t, zz, ww, g, b, g / b) for f, t, zz, ww, g, b in rows]

@@ -111,7 +111,7 @@ def _kobayashi_core(domain: Domain) -> Callable:
             y = Z[:, 0].imag
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = np.abs(X[:, 0]) / (2.0 * y)
-            return _masked(vals, y > 0.0)
+            return _masked(vals, (y > 0.0) & np.isfinite(Z[:, 0]))
 
         return core
     if isinstance(domain, HalfDiscScaled):

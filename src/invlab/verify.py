@@ -37,9 +37,9 @@ def _result(passed: bool, measured: dict, tolerance: float) -> dict:
     }
 
 
-def suite_gap_decomposition(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_gap_decomposition(seed: int) -> dict:
     """Term sum against distance difference on 10^4 pairs, plus the rational spot pair."""
-    tol = tolerances["gap_decomposition"]
+    tol = TOLERANCES["gap_decomposition"]
     z, w = sampling.halfdisc_pairs(seed, 10_000, 0.9)
     tb, ts = distances.gap_terms_batch(z, w)
     k_loc = distances.halfdisc_distance_batch(z, w)
@@ -59,14 +59,13 @@ def suite_gap_decomposition(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_gap_asymptotics(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_gap_asymptotics(seed: int) -> dict:
     """Both gap terms within 1% of their leading forms for points of size <= 1e-3."""
-    tol = tolerances["gap_asymptotics"]
+    tol = TOLERANCES["gap_asymptotics"]
     z, w = sampling.halfdisc_pairs(seed, 1_000, 1e-3)
     tb, ts = distances.gap_terms_batch(z, w)
-    zw = np.abs(z - w)
-    lead_b = 2.0 * zw * z.imag * w.imag / (zw + np.abs(z - np.conj(w)))
-    lead_s = 0.5 * zw**2
+    lead_b = distances.gap_term_boundary_leading(z, w)
+    lead_s = distances.gap_term_separation_leading(z, w)
     measured = {
         "max_boundary_ratio_error": float(np.max(np.abs(tb / lead_b - 1.0))),
         "max_separation_ratio_error": float(np.max(np.abs(ts / lead_s - 1.0))),
@@ -75,22 +74,19 @@ def suite_gap_asymptotics(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_planar_bound_shape(seed: int, tolerances=TOLERANCES) -> dict:
-    """Gap under twice the two-term shape on a small cap; shape sharp on the axis."""
-    tol = tolerances["planar_bound_shape"]
+def suite_planar_bound_shape(seed: int) -> dict:
+    """Gap under twice the planar shape on a small cap; the two-term shape sharp on the axis."""
+    tol = TOLERANCES["planar_bound_shape"]
     z, w = sampling.halfdisc_pairs(seed, 10_000, 0.05)
     tb, ts = distances.gap_terms_batch(z, w)
     gap = tb + ts
-    shape = np.abs(z - w) * (np.abs(z - w) + np.sqrt(z.imag * w.imag))
+    shape = localization.planar_gap_bound(1.0, z, w, z.imag, w.imag)
     ratios = np.where(shape > 0, gap / np.where(shape > 0, shape, 1.0), 0.0)
-    axis_errors = []
-    for t in np.geomspace(1e-4, 1e-3, 7):
-        row = [
-            r
-            for r in localization.sharpness_sweep([t])
-            if r.family == "balanced"
-        ][0]
-        axis_errors.append(abs(row.ratio - 1.0))
+    axis_errors = [
+        abs(r.ratio - 1.0)
+        for r in localization.sharpness_sweep(np.geomspace(1e-4, 1e-3, 7))
+        if r.family == "balanced"
+    ]
     measured = {
         "max_shape_ratio": float(np.max(ratios)),
         "axis_max_ratio_error": float(max(axis_errors)),
@@ -99,9 +95,9 @@ def suite_planar_bound_shape(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_term_necessity(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_term_necessity(seed: int) -> dict:
     """Dropping either additive term of the gap shape loses a factor > 10."""
-    tol = tolerances["term_necessity"]
+    tol = TOLERANCES["term_necessity"]
     rows = localization.sharpness_sweep(np.geomspace(1e-3, 0.04, 8))
     drop_boundary = [r.ratio for r in rows if r.family == "drop-boundary"]
     drop_separation = [r.ratio for r in rows if r.family == "drop-separation"]
@@ -123,9 +119,9 @@ def _solver_cases(seed: int):
     return cases
 
 
-def suite_geodesic_solver(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_geodesic_solver(seed: int) -> dict:
     """Solver hits closed forms to 1e-4 relative; certificates behave both ways."""
-    tol = tolerances["geodesic_solver"]
+    tol = TOLERANCES["geodesic_solver"]
     config = geodesics.SolverConfig()
     max_rel, max_eps = 0.0, 0.0
     for domain, z, w in _solver_cases(seed):
@@ -152,9 +148,9 @@ def suite_geodesic_solver(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_excursion(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_excursion(seed: int) -> dict:
     """Optimized curves between -t+it^2 and t+it^2 stay within 2 |z-w|^(1/2) of z."""
-    tol = tolerances["excursion"]
+    tol = TOLERANCES["excursion"]
     density = metrics.kobayashi_density(HalfPlane())
     # the ratio bound needs no high-accuracy lengths; a reduced iteration
     # budget keeps the whole sweep inside its runtime allowance
@@ -170,9 +166,9 @@ def suite_excursion(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(worst <= tol, measured, tol)
 
 
-def suite_bergman_oracle(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_bergman_oracle(seed: int) -> dict:
     """Moment kernel and Hessian metric against the closed forms."""
-    tol = tolerances["bergman_oracle"]
+    tol = TOLERANCES["bergman_oracle"]
     disc = UnitDisc()
     kernel_err = 0.0
     for z in (0.0, 0.5):
@@ -227,9 +223,9 @@ def suite_bergman_oracle(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_ordering_axioms(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_ordering_axioms(seed: int) -> dict:
     """Distance ordering, symmetry, triangle inequality, and cap monotonicity."""
-    tol = tolerances["ordering_axioms"]
+    tol = TOLERANCES["ordering_axioms"]
     domains = [
         UnitDisc(),
         HalfPlane(),
@@ -271,9 +267,9 @@ def suite_ordering_axioms(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_weight_bounds(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_weight_bounds(seed: int) -> dict:
     """Weight integrals, the admissibility checker, and the frozen bound examples."""
-    tol = tolerances["weight_bounds"]
+    tol = TOLERANCES["weight_bounds"]
     rng = sampling.generator(seed)
     integral_err = 0.0
     for _ in range(1_000):
@@ -337,15 +333,12 @@ def suite_weight_bounds(seed: int, tolerances=TOLERANCES) -> dict:
     return _result(passed, measured, tol)
 
 
-def suite_exponent_fits(seed: int, tolerances=TOLERANCES) -> dict:
+def suite_exponent_fits(seed: int) -> dict:
     """Scaling exponents: the dyadic axis family fits slope 2; exact data is exact."""
-    tol = tolerances["exponent_fits"]
-    samples = []
-    for k in range(6, 15):
-        h = 2.0**-k
-        gap = distances.localization_gap(2j * h, 1j * h).gap
-        samples.append((h, gap))
-    dyadic_slope = localization.fit_exponent(samples)
+    tol = TOLERANCES["exponent_fits"]
+    h = 2.0 ** -np.arange(6, 15)
+    tb, ts = distances.gap_terms_batch(2j * h, 1j * h)
+    dyadic_slope = localization.fit_exponent(list(zip(h, tb + ts)))
     h = np.geomspace(1e-3, 1.0, 12)
     exact_sq = localization.fit_exponent(list(zip(h, h**2)))
     exact_const = localization.fit_exponent([(x, 3.7) for x in h])
@@ -376,17 +369,10 @@ SUITES: dict[str, Callable[[int], dict]] = {
 }
 
 
-def run_verify(
-    names: list[str], seed: int, tolerance_overrides: dict | None = None
-) -> tuple[dict, bool]:
+def run_verify(names: list[str], seed: int) -> tuple[dict, bool]:
     """Run the named suites in registry order."""
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    if tolerance_overrides:
-        bad = [n for n in tolerance_overrides if n not in TOLERANCES]
-        if bad:
-            raise ValueError(f"unknown tolerance name(s): {', '.join(bad)}")
-    tolerances = {**TOLERANCES, **(tolerance_overrides or {})}
-    report = {n: fn(seed, tolerances) for n, fn in SUITES.items() if n in names}
+    report = {n: fn(seed) for n, fn in SUITES.items() if n in names}
     return report, all(r["pass"] for r in report.values())

@@ -12,9 +12,7 @@ from invlab.distances import (
     disc_distance_batch,
     disc_ratio,
     distance_batch,
-    gap_term_boundary,
     gap_term_boundary_leading,
-    gap_term_separation,
     gap_term_separation_leading,
     gap_terms_batch,
     halfdisc_distance_batch,
@@ -48,6 +46,11 @@ def test_mobius_halfplane_examples():
     assert mobius_halfplane(0.5j, 0.25j) == pytest.approx(1.0 / 3.0, abs=1e-15)
     with pytest.raises(MembershipError):
         mobius_halfplane(1.0, 1j)
+    for bad in (complex(0, math.nan), complex(0, math.inf), complex(math.inf, 1)):
+        with pytest.raises(MembershipError):
+            mobius_halfplane(bad, 1j)
+        with pytest.raises(MembershipError):
+            mobius_halfplane(1j, bad)
 
 
 def test_kobayashi_distance_examples():
@@ -78,14 +81,14 @@ def test_halfdisc_ratio_is_pullback_of_halfplane_ratio():
 
 
 def test_gap_term_examples():
-    assert gap_term_boundary(0.5j, 0.25j) == pytest.approx(
+    assert localization_gap(0.5j, 0.25j).term_boundary == pytest.approx(
         math.log(15.0 / 14.0), abs=1e-15
     )
-    assert gap_term_boundary(0.3j, 0.3j) == 0.0
-    assert gap_term_separation(0.5j, 0.25j) == pytest.approx(
+    assert localization_gap(0.3j, 0.3j).term_boundary == 0.0
+    assert localization_gap(0.5j, 0.25j).term_separation == pytest.approx(
         0.5 * math.log(49.0 / 45.0), abs=1e-15
     )
-    assert gap_term_separation(0.1 + 0.2j, 0.1 + 0.2j) == 0.0
+    assert localization_gap(0.1 + 0.2j, 0.1 + 0.2j).term_separation == 0.0
 
 
 def test_gap_term_boundary_matches_ratio_route():
@@ -146,11 +149,11 @@ def test_gap_scaled_halfdisc():
 def test_asymptotic_examples():
     z = 1e-3 * (1 + 1j)
     w = 1e-3 * (1 + 2j)
-    assert gap_term_boundary(z, w) / gap_term_boundary_leading(z, w) == pytest.approx(
-        1.0, abs=0.01
-    )
+    tb = localization_gap(z, w).term_boundary
+    assert tb / gap_term_boundary_leading(z, w) == pytest.approx(1.0, abs=0.01)
     assert gap_term_separation_leading(z, w) == 0.5 * abs(z - w) ** 2
-    ratio = gap_term_separation(0.5j, 0.25j) / gap_term_separation_leading(0.5j, 0.25j)
+    ts = localization_gap(0.5j, 0.25j).term_separation
+    ratio = ts / gap_term_separation_leading(0.5j, 0.25j)
     expected = (0.5 * math.log(49.0 / 45.0)) / 0.03125
     assert ratio == pytest.approx(expected, abs=1e-12)
     assert ratio == pytest.approx(1.3625, abs=2e-4)  # asymptotics not yet valid here
@@ -181,7 +184,7 @@ def test_membership_enforced():
     with pytest.raises(MembershipError):
         kobayashi_distance(UnitDisc(), 0.0, 1.0)
     with pytest.raises(MembershipError):
-        gap_term_boundary(2j, 0.5j)
+        localization_gap(2j, 0.5j)
 
 
 def test_complement_identity_resolution():

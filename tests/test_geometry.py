@@ -306,6 +306,25 @@ def test_contains_batch_agrees_with_scalar():
     assert list(got) == expected
 
 
+NON_FINITE = [complex(0, math.inf), complex(math.inf, 1), math.inf * 1j, complex(math.nan, 1)]
+
+
+def test_non_finite_points_are_no_members():
+    # the half-plane is the only unbounded member; the bounded ones reject
+    # infinite points through their modulus already
+    for dom, anchor in MEMBERS:
+        for bad in NON_FINITE:
+            for k in range(dimension(dom)):
+                p = np.asarray(anchor, dtype=complex)
+                p[k] = bad
+                assert not contains(dom, p), (dom, p)
+                assert not contains_batch(dom, p[None])[0], (dom, p)
+    prod = Product((UnitDisc(), HalfPlane()))
+    assert not contains_batch(prod, [[0.1, complex(math.inf, 1)]])[0]
+    with pytest.raises(MembershipError):
+        boundary_distance(HalfPlane(), complex(0, math.inf))
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         ComplexPoint((complex("inf"),))

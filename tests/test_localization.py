@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from invlab.distances import localization_gap
+from invlab.distances import (
+    gap_term_boundary_leading,
+    gap_term_separation_leading,
+    gap_terms_batch,
+    localization_gap,
+)
 from invlab.localization import (
     VIOLATION_INTEGRAL_DIVERGES,
     VIOLATION_NOT_UNBOUNDED,
@@ -22,6 +27,7 @@ from invlab.localization import (
     power_weight,
     ratio_weight_bound,
     refined_excursion_bound,
+    SweepRow,
     sharpness_sweep,
     tabulated_weight,
     two_term_gap_bound,
@@ -177,6 +183,80 @@ def test_sharpness_sweep_families():
         sharpness_sweep([0.5])
     with pytest.raises(ValueError):
         sharpness_sweep([0.0])
+
+
+# the row-at-a-time sweep that the batched one replaced, kept as its reference
+def _reference_two_term_gap_bound(z: complex, w: complex) -> float:
+    sep = abs(z - w)
+    return sep * (0.5 * sep + min(z.imag, w.imag))
+
+
+def _gap(z, w) -> float:
+    tb, ts = gap_terms_batch(np.asarray([z]), np.asarray([w]))
+    return float(tb[0] + ts[0])
+
+
+def _reference_sharpness_sweep(t_values):
+    rows = []
+    for t in t_values:
+        t = float(t)
+        if not (0.0 < t <= 0.1):
+            raise ValueError("sweep parameters must lie in (0, 0.1]")
+        z = 1j * t
+        cases = (
+            ("balanced", 0.5j * t, lambda zz, ww: _reference_two_term_gap_bound(zz, ww)),
+            (
+                "drop-boundary",
+                1j * t * (1.0 - 1e-6),
+                lambda zz, ww: abs(zz - ww) * 0.5 * abs(zz - ww),
+            ),
+            (
+                "drop-separation",
+                1j * t * t,
+                lambda zz, ww: abs(zz - ww) * min(zz.imag, ww.imag),
+            ),
+        )
+        for family, w, bound_fn in cases:
+            gap = _gap(z, w)
+            bound = bound_fn(z, w)
+            rows.append(SweepRow(family, t, z, w, gap, bound, gap / bound))
+    return rows
+
+
+def test_sharpness_sweep_matches_the_row_at_a_time_reference():
+    grid = np.geomspace(1e-5, 0.1, 61)
+    got = sharpness_sweep(grid)
+    want = _reference_sharpness_sweep(grid)
+    assert len(got) == len(want) == 3 * len(grid)
+    for g, r in zip(got, want):
+        for name in SweepRow.__dataclass_fields__:
+            a, b = getattr(g, name), getattr(r, name)
+            assert type(a) is type(b) and a == b, (name, a, b)
+    # a bad value anywhere in the grid rejects the whole sweep, as row by row
+    with pytest.raises(ValueError):
+        sharpness_sweep([0.05, 0.0])
+
+
+def test_shapes_agree_on_scalars_and_arrays():
+    z, w = halfdisc_pairs(41, 300, 0.5)
+    shapes = {
+        "two_term": two_term_gap_bound,
+        "planar": lambda a, b: planar_gap_bound(1.7, a, b, a.imag, b.imag),
+        "boundary_leading": gap_term_boundary_leading,
+        "separation_leading": gap_term_separation_leading,
+    }
+    for name, shape in shapes.items():
+        batch = shape(z, w)
+        single = [shape(complex(a), complex(b)) for a, b in zip(z, w)]
+        assert np.array_equal(batch, single), name
+        assert all(isinstance(v, float) for v in single), name
+    # the scalar shape is the one the row-at-a-time sweep used
+    assert [_reference_two_term_gap_bound(complex(a), complex(b)) for a, b in zip(z, w)] == list(
+        two_term_gap_bound(z, w)
+    )
+    for leading in (gap_term_boundary_leading, gap_term_separation_leading):
+        with pytest.raises(ValueError):
+            leading(z, np.concatenate([w[:-1], z[-1:]]))
 
 
 def test_one_term_families_with_both_term_bound_stay_tame():

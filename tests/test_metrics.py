@@ -271,6 +271,22 @@ def test_density_cores_agree_with_membership():
     assert 0.0 < kobayashi_royden_density(HalfDiscScaled(1.0), z, 1.0) < math.inf
 
 
+def test_halfplane_density_is_infinite_at_non_finite_points():
+    Z = np.array([[complex(math.inf, 1)], [math.inf * 1j], [complex(0, math.inf)], [1j]])
+    X = np.ones_like(Z)
+    vals = kobayashi_density(HalfPlane()).evaluate_batch(Z, X)
+    assert list(vals) == [math.inf, math.inf, math.inf, 0.5]
+    assert list(contains_batch(HalfPlane(), Z)) == [False, False, False, True]
+    prod = Product((UnitDisc(), HalfPlane()))
+    Zp = np.array([[0.1, complex(math.inf, 1)], [0.1, 1j]])
+    assert list(kobayashi_density(prod).evaluate_batch(Zp, np.ones_like(Zp))) == [
+        math.inf,
+        pytest.approx(1 / 0.99),
+    ]
+    with pytest.raises(MembershipError):
+        kobayashi_royden_density(HalfPlane(), complex(math.inf, 1), 1.0)
+
+
 def test_membership_errors():
     with pytest.raises(MembershipError):
         kobayashi_royden_density(UnitDisc(), 1.5, 1.0)

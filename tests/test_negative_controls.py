@@ -5,7 +5,6 @@ reports ``pass`` False, so no suite can pass whatever the code computes.
 """
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,8 +58,13 @@ def test_planar_bound_shape_fails_with_both_terms_tripled(monkeypatch):
     assert not verify.suite_planar_bound_shape(SEED)["pass"]
 
 
+def _gap_terms(gap):
+    """A gap_terms_batch whose whole gap is ``gap(z, w)``, held in the first term."""
+    return lambda z, w: (gap(z, w), np.zeros(np.shape(z)))
+
+
 def test_term_necessity_fails_on_a_pure_separation_gap(monkeypatch):
-    monkeypatch.setattr(localization, "_gap", lambda z, w: abs(z - w) ** 2)
+    monkeypatch.setattr(distances, "gap_terms_batch", _gap_terms(lambda z, w: np.abs(z - w) ** 2))
     assert not verify.suite_term_necessity(SEED)["pass"]
 
 
@@ -103,7 +107,5 @@ def test_weight_bounds_fails_on_a_constant_planar_bound(monkeypatch):
 
 
 def test_exponent_fits_fails_on_a_gap_linear_in_h(monkeypatch):
-    monkeypatch.setattr(
-        distances, "localization_gap", lambda z, w: SimpleNamespace(gap=abs(z - w))
-    )
+    monkeypatch.setattr(distances, "gap_terms_batch", _gap_terms(lambda z, w: np.abs(z - w)))
     assert not verify.suite_exponent_fits(SEED)["pass"]

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invlab
-from invlab import cli, geometry, parsing
-from invlab.distances import kobayashi_distance
+from invlab import cli, geometry, localization, parsing, sampling
+from invlab.distances import kobayashi_distance, localization_gap
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_parse_complex_examples():
@@ -107,6 +109,11 @@ def test_cli_validation_errors(capsys):
     assert "--domain" in capsys.readouterr().err
     assert cli.run_command(["distance", "--domain", "disc", "--z", "2", "--w", "0"]) == 1
     assert "--z" in capsys.readouterr().err
+    # the half-plane is unbounded, yet a point at infinity is no member
+    for z in ("inf+1i", "0+infi", "nan+1i"):
+        assert cli.run_command(["distance", "--domain", "halfplane", "--z", z, "--w", "1i"]) == 1
+        captured = capsys.readouterr()
+        assert "--z" in captured.err and captured.out == ""
 
 
 def test_cli_geodesic_writes_curve(tmp_path, capsys):
@@ -211,6 +218,60 @@ def test_cli_sweep_families(tmp_path):
         assert all(0.0 < r <= 1.05 for r in ratios)
 
 
+def _reference_sweep_rows(family, region, samples, seed):
+    """The CLI sweep built row by row from the validated scalar gap."""
+    if family == "imaginary-axis":
+        ts = np.geomspace(region * 1e-3, region, samples)
+        pairs = [(1j * t, 0.5j * t) for t in ts]
+    elif family == "random-cap":
+        z, w = sampling.halfdisc_pairs(seed, samples, region)
+        ts = np.abs(z - w)
+        pairs = list(zip(z, w))
+    else:
+        ts = region * 2.0 ** -(np.arange(samples) + 6.0)
+        pairs = [(2j * t, 1j * t) for t in ts]
+    rows = []
+    for t, (z, w) in zip(ts, pairs):
+        g = localization_gap(complex(z), complex(w))
+        if family == "random-cap":
+            rhs = localization.planar_gap_bound(1.0, complex(z), complex(w), z.imag, w.imag)
+        else:
+            rhs = localization.two_term_gap_bound(complex(z), complex(w))
+        rhs = float(rhs)
+        rows.append((float(t), complex(z), complex(w), g.gap, rhs, g.gap / rhs))
+    return rows
+
+
+@pytest.mark.parametrize("family", ["imaginary-axis", "random-cap", "normal"])
+@pytest.mark.parametrize("region, seed", [(0.3, 42), (0.05, 7)])
+def test_cli_sweep_rows_match_the_per_row_gap(family, region, seed):
+    got = cli._sweep_rows(family, region, 200, seed)
+    want = _reference_sweep_rows(family, region, 200, seed)
+    assert len(got) == 200
+    for g, r in zip(got, want):
+        assert all(type(a) is type(b) and a == b for a, b in zip(g, r)), (g, r)
+
+
+def test_cli_sweep_rejects_an_underflowing_bound(capsys):
+    # the normal family halves t per sample: past ~530 samples the bound is 0
+    args = ["sweep", "--family", "normal", "--region", "1", "--samples", "600"]
+    assert cli.run_command(args) == 1
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err and captured.out == ""
+    tiny = ["sweep", "--family", "imaginary-axis", "--region", "1e-300", "--samples", "4"]
+    assert cli.run_command(tiny) == 1
+
+
+def test_sharpness_study_reproduces_the_committed_table(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    script = os.path.join(REPO, "scripts", "sharpness_study.py")
+    run = subprocess.run([sys.executable, script], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    written = (tmp_path / "out" / "sharpness.csv").read_bytes()
+    with open(os.path.join(REPO, "out", "sharpness.csv"), "rb") as fh:
+        assert written == fh.read()
+
+
 def test_cli_verify_subset(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.run_command(
@@ -298,11 +359,6 @@ def test_config_faults_name_the_flag(tmp_path, capsys, raw):
     captured = capsys.readouterr()
     assert "--config" in captured.err
     assert captured.out == ""
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        cli.RunConfig(tolerances={"bogus": 1.0})
 
 
 def test_run_verify_keeps_registry_order():
