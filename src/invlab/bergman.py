@@ -4,9 +4,9 @@ On a Reinhardt domain the monomials are orthogonal in the square-integrable
 holomorphic space, so the kernel on the diagonal is the lacunary series
 sum over alpha of |z^alpha|^2 / moment(alpha), with
 moment(alpha) = integral over the domain of |z^alpha|^2 dV.  Moments come in
-closed form: factorials and powers for discs, polydiscs and balls, and a
-product of Beta functions, one per radial factor, for general Reinhardt
-ellipsoids (scipy is imported only on that route).
+closed form (factorials and powers for discs, polydiscs and balls; one Beta
+function per radial factor for ellipsoids, the only route importing scipy), and
+a table is one array-mode ``monomial_moment`` call over all its multi-indices.
 
 The metric is the square root of the log-kernel complex Hessian quadratic
 form, evaluated by second-order central differences in the X and iX
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Mapping
 
 import numpy as np
@@ -55,39 +54,49 @@ def default_truncation(domain: Domain) -> int:
     return DEFAULT_TRUNCATION.get(dimension(domain), 20)
 
 
-def monomial_moment(domain: Domain, alpha) -> float:
-    """integral over the domain of |z^alpha|^2 dV, alpha a multi-index."""
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != dimension(domain) or any(a < 0 for a in alpha):
+def _whole(values, what: str) -> np.ndarray:
+    """values as int64, refusing anything that is not a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ValueError(f"{what} must be whole numbers, got {values!r}")
+    return arr.astype(np.int64)
+
+
+def monomial_moment(domain: Domain, alpha) -> float | np.ndarray:
+    """integral over the domain of |z^alpha|^2 dV: a float for one multi-index,
+    an (m,) array of the same bits for an (m, n) stack of them."""
+    rows = np.atleast_2d(_whole(alpha, "multi-index"))
+    if rows.ndim != 2 or rows.shape[1] != dimension(domain) or np.any(rows < 0):
         raise ValueError("multi-index must be nonnegative and match the dimension")
     if isinstance(domain, UnitDisc):
-        return math.pi / (alpha[0] + 1)
-    if isinstance(domain, Polydisc):
-        out = 1.0
-        for a, r in zip(alpha, domain.radii):
-            out *= math.pi * r ** (2 * a + 2) / (a + 1)
-        return out
-    if isinstance(domain, Ball):
-        n = domain.n
+        out = math.pi / (rows[:, 0] + 1)
+    elif isinstance(domain, Polydisc):
+        out = 1.0  # factor tables by Python's float **; numpy's power rounds otherwise
+        for a, r in zip(rows.T, domain.radii):
+            factor = [math.pi * r ** (2 * k + 2) / (k + 1) for k in range(a.max() + 1)]
+            out = out * np.array(factor)[a]
+    elif isinstance(domain, Ball):
+        n, total = domain.n, rows.sum(axis=1)
+        fact = np.array([float(math.factorial(k)) for k in range(n + total.max() + 1)])
         out = math.pi**n
-        for a in alpha:
-            out *= math.factorial(a)
-        return out / math.factorial(n + sum(alpha))
-    if isinstance(domain, ReinhardtEllipsoid):
-        # peel coordinates off one radial integral at a time,
-        # int_0^1 rho^(2a+1) (1 - rho^(2p))^s d rho = B((a+1)/p, s+1) / (2p);
-        # Beta, not a Gamma ratio, since Gamma overflows past 171.6
+        for a in rows.T:
+            out = out * fact[a]
+        out = out / fact[n + total]
+    elif isinstance(domain, ReinhardtEllipsoid):
+        # peel coordinates off one radial integral at a time, int_0^1 rho^(2a+1)
+        # (1 - rho^(2p))^s d rho = B((a+1)/p, s+1) / (2p) (Gamma overflows past 171.6)
         from scipy.special import beta
 
         p = domain.exponents
-        out = (2.0 * math.pi) ** len(alpha)
-        for j, (a, pj) in enumerate(zip(alpha, p)):
-            s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
-            out *= beta((a + 1) / pj, s + 1.0) / (2.0 * pj)
-        return float(out)
-    raise UnsupportedDomainError(
-        f"{type(domain).__name__} is not a Reinhardt catalog member"
-    )
+        out = (2.0 * math.pi) ** len(p)
+        for j in range(len(p)):
+            s = sum((rows[:, k] + 1) / p[k] for k in range(j + 1, len(p)))
+            out = out * (beta((rows[:, j] + 1) / p[j], s + 1.0) / (2.0 * p[j]))
+    else:
+        raise UnsupportedDomainError(
+            f"{type(domain).__name__} is not a Reinhardt catalog member"
+        )
+    return out if np.ndim(alpha) == 2 else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -103,25 +112,28 @@ class MomentTable:
     degrees: np.ndarray = field(compare=False, repr=False)
 
 
-def _multi_indices(n: int, max_degree: int):
-    for alpha in iter_product(range(max_degree + 1), repeat=n):
-        if sum(alpha) <= max_degree:
-            yield alpha
-
-
 @lru_cache(maxsize=64)
 def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
-    if truncation_degree < 0:
+    """Every moment with |alpha| <= N, ordered by (|alpha|, alpha), from one
+    array-mode ``monomial_moment`` call; ValueError unless N is a whole number
+    >= 0 shallow enough that every moment stays in the double range."""
+    N = int(_whole(truncation_degree, "truncation degree"))
+    if N < 0:
         raise ValueError("truncation degree must be >= 0")
     n = dimension(domain)
-    alphas = sorted(_multi_indices(n, truncation_degree), key=lambda a: (sum(a), a))
-    moments = {a: monomial_moment(domain, a) for a in alphas}
-    if any(v <= 0 for v in moments.values()):
-        raise RuntimeError("nonpositive moment; the closed form underflowed")
-    arr = np.array(alphas, dtype=float)
-    inv = np.array([1.0 / moments[a] for a in alphas])
-    deg = arr.sum(axis=1).astype(int)
-    return MomentTable(domain, truncation_degree, moments, arr, inv, deg)
+    grid = np.indices((N + 1,) * n).reshape(n, -1).T
+    grid = grid[grid.sum(axis=1) <= N]
+    grid = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))]
+    try:
+        values = monomial_moment(domain, grid)
+    except OverflowError:  # factorials past 170!, radii > 1 raised too high
+        values = np.array([math.inf])
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError(
+            f"truncation degree {N} is too deep for {domain}: moments leave the double range"
+        )
+    moments = dict(zip(map(tuple, grid.tolist()), values.tolist()))
+    return MomentTable(domain, N, moments, grid.astype(float), 1.0 / values, grid.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ def bergman_kernel_diag(domain: Domain, z: PointLike, N: int) -> KernelResult:
     """Truncated kernel on the diagonal, sum over |alpha| <= N, with a geometric
     tail estimate from the last per-degree sums."""
     coords = member_coords(domain, z)
-    table = moment_table(domain, int(N))
+    table = moment_table(domain, N)
     terms, sums = _kernel_rows(table, coords[None, :])
     kernel = float(sums[0])
     tail = 0.0
@@ -162,7 +174,7 @@ def bergman_kernel_diag(domain: Domain, z: PointLike, N: int) -> KernelResult:
         if ratios:
             r = max(ratios)
             tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
-    return KernelResult(kernel, math.sqrt(kernel), int(N), tail)
+    return KernelResult(kernel, math.sqrt(kernel), table.truncation_degree, tail)
 
 
 def bergman_metric_numeric(
@@ -181,7 +193,7 @@ def bergman_metric_numeric(
     if len(coords) != len(vec):
         raise MembershipError("point and vector dimensions differ")
     member_coords(domain, coords)
-    table = moment_table(domain, int(N))
+    table = moment_table(domain, N)
     reach = 2.0 * h * float(np.linalg.norm(vec))
     screened = contains(domain, _modulus(coords) + 2.0 * reach)
     if not screened and boundary_distance(domain, coords) < reach:

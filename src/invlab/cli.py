@@ -23,7 +23,6 @@ from . import distances, geodesics, localization, metrics, parsing, sampling, ve
 from .geometry import (
     DimensionMismatchError,
     Domain,
-    EmptyIntersectionError,
     HalfDiscScaled,
     MembershipError,
     UnsupportedDomainError,
@@ -77,7 +76,7 @@ def load_config(path: str | None) -> RunConfig:
 def _parse_with(flag: str, parser, text: str):
     try:
         return parser(text)
-    except (ValueError, EmptyIntersectionError) as exc:
+    except ValueError as exc:
         raise FlagError(flag, str(exc))
 
 
@@ -192,8 +191,10 @@ def cmd_bergman(args, config: RunConfig) -> int:
     N = args.truncation
     try:
         kr = bergman_lab.bergman_kernel_diag(domain, z, N)
-    except (UnsupportedDomainError, ValueError) as exc:
+    except UnsupportedDomainError as exc:
         raise FlagError("--domain", str(exc))
+    except ValueError as exc:
+        raise FlagError("--truncation", str(exc))
     beta = beta_tilde = None
     if args.X is not None:
         X = _parse_with("--X", parsing.parse_point, args.X)
@@ -201,7 +202,7 @@ def cmd_bergman(args, config: RunConfig) -> int:
             raise FlagError("--X", "vector dimension does not match the domain")
         try:
             beta = bergman_lab.bergman_metric_numeric(domain, z, X, N, args.step)
-        except (MembershipError, ValueError) as exc:
+        except ValueError as exc:
             raise FlagError("--X", str(exc))
         beta_tilde = beta / math.sqrt(dimension(domain) + 1)
     payload = {
@@ -378,10 +379,7 @@ def run_command(argv: list[str]) -> int:
     try:
         config = load_config(args.config)
         return COMMANDS[args.command](args, config)
-    except FlagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MembershipError, UnsupportedDomainError, EmptyIntersectionError, ValueError) as exc:
+    except ValueError as exc:  # FlagError and every invlab error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

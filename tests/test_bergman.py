@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -177,6 +178,117 @@ def test_errors():
     with pytest.raises(MembershipError):
         # closer to the boundary than twice the step
         bergman_metric_numeric(UnitDisc(), 0.9999, 1.0, 10, 1e-3)
+
+
+def _oracle_moment(domain, alpha):
+    """One moment by the per-index closed forms in Python scalars (test oracle)."""
+    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
+    if isinstance(domain, UnitDisc):
+        return math.pi / (alpha[0] + 1)
+    if isinstance(domain, Polydisc):
+        out = 1.0
+        for a, r in zip(alpha, domain.radii):
+            out *= math.pi * r ** (2 * a + 2) / (a + 1)
+        return out
+    if isinstance(domain, Ball):
+        n = domain.n
+        out = math.pi**n
+        for a in alpha:
+            out *= math.factorial(a)
+        return out / math.factorial(n + sum(alpha))
+    from scipy.special import beta
+
+    p = domain.exponents
+    out = (2.0 * math.pi) ** len(alpha)
+    for j, (a, pj) in enumerate(zip(alpha, p)):
+        s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
+        out *= beta((a + 1) / pj, s + 1.0) / (2.0 * pj)
+    return float(out)
+
+
+def _oracle_table(domain, N):
+    """(moments, alphas, inv_moments, degrees), one moment call per multi-index in
+    (degree, alpha) order (test oracle)."""
+    indices = product(range(N + 1), repeat=dimension(domain))
+    alphas = sorted((a for a in indices if sum(a) <= N), key=lambda a: (sum(a), a))
+    moments = {a: _oracle_moment(domain, a) for a in alphas}
+    arr = np.array(alphas, dtype=float)
+    inv = np.array([1.0 / moments[a] for a in alphas])
+    return moments, arr, inv, arr.sum(axis=1).astype(int)
+
+
+def _bits(x):
+    """Everything that tells two values apart: repr of the key types and the exact
+    float bits."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    return [(repr(k), type(v), float.hex(v)) for k, v in x.items()]
+
+
+ORACLE_TABLES = [
+    (UnitDisc(), 50),
+    (UnitDisc(), 300),
+    (Ball(2), 20),
+    (Ball(2), 160),
+    (Ball(3), 12),
+    (Polydisc((0.7, 1.3)), 20),
+    (Polydisc((1.2, 0.9)), 20),
+    (Polydisc((0.5, 0.5)), 40),
+    (ReinhardtEllipsoid((1.0, 2.0)), 20),
+    (ReinhardtEllipsoid((0.6, 2.7)), 20),
+    (ReinhardtEllipsoid((2.5, 1.5)), 20),
+    (ReinhardtEllipsoid((1.0, 1.0)), 20),
+    (ReinhardtEllipsoid((0.5, 0.5)), 60),
+    (ReinhardtEllipsoid((1.0, 2.0, 0.7)), 10),
+]
+
+
+@pytest.mark.parametrize("domain, N", ORACLE_TABLES, ids=repr)
+def test_moment_table_matches_the_per_index_oracle_bit_for_bit(domain, N):
+    table = moment_table(domain, N)
+    want = _oracle_table(domain, N)
+    got = (table.moments, table.alphas, table.inv_moments, table.degrees)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+
+
+@pytest.mark.parametrize("domain, N", ORACLE_TABLES, ids=repr)
+def test_array_and_scalar_moments_agree_bit_for_bit(domain, N):
+    rng = np.random.default_rng([808, ORACLE_TABLES.index((domain, N))])
+    stack = rng.integers(0, N // dimension(domain) + 1, size=(30, dimension(domain)))
+    got = monomial_moment(domain, stack)
+    assert isinstance(got, np.ndarray) and got.shape == (30,)
+    for alpha, value in zip(stack, got):
+        one = monomial_moment(domain, alpha)
+        assert type(one) is float and one.hex() == float(value).hex()
+        assert one.hex() == _oracle_moment(domain, alpha).hex()
+
+
+def test_non_integer_indices_and_degrees_are_refused():
+    for bad in (2.7, 2.5, math.nan):
+        with pytest.raises(ValueError, match="whole"):
+            monomial_moment(UnitDisc(), bad)
+        with pytest.raises(ValueError, match="whole"):
+            moment_table(UnitDisc(), bad)
+        with pytest.raises(ValueError, match="whole"):
+            bergman_kernel_diag(UnitDisc(), 0.1, bad)
+        with pytest.raises(ValueError, match="whole"):
+            bergman_metric_numeric(UnitDisc(), 0.1, 1.0, bad, 1e-3)
+    with pytest.raises(ValueError, match="whole"):
+        monomial_moment(Ball(2), (1, 0.5))
+    # a whole float is a degree
+    assert bergman_kernel_diag(UnitDisc(), 0.1, 20.0) == bergman_kernel_diag(UnitDisc(), 0.1, 20)
+
+
+@pytest.mark.parametrize(
+    "domain, N",
+    [(Ball(2), 169), (Polydisc((0.5, 0.5)), 600), (Polydisc((1.3,)), 2000)],
+    ids=repr,
+)
+def test_too_deep_truncation_is_a_value_error(domain, N):
+    # 171! overflows a double, 0.5^1200 underflows it, 1.3^4002 overflows it
+    with pytest.raises(ValueError, match="too deep"):
+        moment_table(domain, N)
 
 
 def _oracle_kernel_value(table, coords):

@@ -116,6 +116,20 @@ def test_cli_validation_errors(capsys):
         assert "--z" in captured.err and captured.out == ""
 
 
+def test_cli_bergman_names_the_flag_at_fault(capsys):
+    # too deep for the double range (171!, 0.5^1200) or negative: --truncation
+    for domain, N in (("ball:n=2", "180"), ("polydisc:r=0.5,0.5", "600"), ("disc", "-1")):
+        z = "0.1" if domain == "disc" else "0.1,0.1"
+        argv = ["bergman", "--domain", domain, "--z", z, "--truncation", N]
+        assert cli.run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert "--truncation" in captured.err and "--domain" not in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+    # a domain without monomial moments stays a --domain error
+    assert cli.run_command(["bergman", "--domain", "halfplane", "--z", "1i"]) == 1
+    assert "--domain" in capsys.readouterr().err
+
+
 def test_cli_geodesic_writes_curve(tmp_path, capsys):
     out = tmp_path / "curve.json"
     code = cli.run_command(
@@ -272,6 +286,16 @@ def test_sharpness_study_reproduces_the_committed_table(tmp_path):
         assert written == fh.read()
 
 
+def test_bergman_truncation_study_reproduces_the_committed_table(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    script = os.path.join(REPO, "scripts", "bergman_truncation.py")
+    run = subprocess.run([sys.executable, script], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    written = (tmp_path / "out" / "bergman_truncation.csv").read_bytes()
+    with open(os.path.join(REPO, "out", "bergman_truncation.csv"), "rb") as fh:
+        assert written == fh.read()
+
+
 def test_cli_verify_subset(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.run_command(
@@ -375,6 +399,24 @@ def test_import_loads_no_scipy():
     # the start-up of every CLI call
     src = os.path.dirname(os.path.dirname(invlab.__file__))
     code = "import sys, invlab; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_disc_ball_and_polydisc_bergman_load_no_scipy():
+    # only the ellipsoid's Beta moments import scipy
+    src = os.path.dirname(os.path.dirname(invlab.__file__))
+    code = (
+        "import sys\n"
+        "from invlab.bergman import bergman_kernel_diag, bergman_metric_numeric, moment_table\n"
+        "from invlab.geometry import Ball, Polydisc, UnitDisc\n"
+        "for d, z, X in ((UnitDisc(), (0.3,), (1.0,)), (Ball(2), (0.3, 0.2j), (1.0, 0.5)),\n"
+        "                (Polydisc((0.7, 1.3)), (0.3, 0.2j), (1.0, 0.5))):\n"
+        "    moment_table(d, 20)\n"
+        "    bergman_kernel_diag(d, z, 20)\n"
+        "    bergman_metric_numeric(d, z, X, 20, 1e-3)\n"
+        "sys.exit('scipy' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
