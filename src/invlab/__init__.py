@@ -19,7 +19,6 @@ from .geometry import (
     Polydisc,
     Product,
     ReinhardtEllipsoid,
-    TangentVector,
     UnitDisc,
     UnsupportedDomainError,
     boundary_distance,
@@ -84,7 +83,6 @@ from .localization import (
     AdmissibleWeight,
     BoundParams,
     BoundReport,
-    GeometricGrid,
     check_admissible,
     empirical_constant,
     fit_exponent,
@@ -97,7 +95,6 @@ from .localization import (
     ratio_weight_bound,
     refined_excursion_bound,
     sharpness_sweep,
-    tabulated_weight,
     two_term_gap_bound,
     weight_integral,
 )

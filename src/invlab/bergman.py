@@ -46,14 +46,6 @@ from .geometry import (
     member_coords,
 )
 
-DEFAULT_TRUNCATION = {1: 50, 2: 20}
-
-
-def default_truncation(domain: Domain) -> int:
-    """Desk-scale default truncation degree: 50 in dimension 1, 20 above."""
-    return DEFAULT_TRUNCATION.get(dimension(domain), 20)
-
-
 def _whole(values, what: str) -> np.ndarray:
     """values as int64, refusing anything that is not a whole number."""
     arr = np.asarray(values)
@@ -64,10 +56,24 @@ def _whole(values, what: str) -> np.ndarray:
 
 def monomial_moment(domain: Domain, alpha) -> float | np.ndarray:
     """integral over the domain of |z^alpha|^2 dV: a float for one multi-index,
-    an (m,) array of the same bits for an (m, n) stack of them."""
+    an (m,) array of the same bits for an (m, n) stack of them; ValueError when
+    a moment leaves the double range (the multi-index is too deep)."""
     rows = np.atleast_2d(_whole(alpha, "multi-index"))
     if rows.ndim != 2 or rows.shape[1] != dimension(domain) or np.any(rows < 0):
         raise ValueError("multi-index must be nonnegative and match the dimension")
+    try:
+        out = _moments(domain, rows)
+    except OverflowError:  # factorials past 170!, radii > 1 raised too high
+        out = math.inf
+    if not np.all(np.isfinite(out) & (out > 0)):
+        raise ValueError(
+            f"degree {rows.sum(axis=1).max()} is too deep for {domain}: "
+            "moments leave the double range"
+        )
+    return out if np.ndim(alpha) == 2 else float(out[0])
+
+
+def _moments(domain: Domain, rows: np.ndarray) -> np.ndarray:
     if isinstance(domain, UnitDisc):
         out = math.pi / (rows[:, 0] + 1)
     elif isinstance(domain, Polydisc):
@@ -96,7 +102,7 @@ def monomial_moment(domain: Domain, alpha) -> float | np.ndarray:
         raise UnsupportedDomainError(
             f"{type(domain).__name__} is not a Reinhardt catalog member"
         )
-    return out if np.ndim(alpha) == 2 else float(out[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,14 +130,7 @@ def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
     grid = np.indices((N + 1,) * n).reshape(n, -1).T
     grid = grid[grid.sum(axis=1) <= N]
     grid = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))]
-    try:
-        values = monomial_moment(domain, grid)
-    except OverflowError:  # factorials past 170!, radii > 1 raised too high
-        values = np.array([math.inf])
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise ValueError(
-            f"truncation degree {N} is too deep for {domain}: moments leave the double range"
-        )
+    values = monomial_moment(domain, grid)
     moments = dict(zip(map(tuple, grid.tolist()), values.tolist()))
     return MomentTable(domain, N, moments, grid.astype(float), 1.0 / values, grid.sum(axis=1))
 

@@ -1,11 +1,11 @@
 """Command-line front end: distance queries, geodesics, sweeps, kernels, verification.
 
 Exit codes: 0 on success, 1 on a validation error (bad literal, unknown
-domain, point outside the domain, malformed ``--config`` file; the diagnostic
-names the offending flag), 2 when the verification suite fails.  Identical
-argv and seed produce byte-identical output files: all randomness is
-counter-based and keyed by the seed, CSV floats carry 17 significant digits,
-and verify runs its suites one after another in registry order.
+domain, point outside the domain; the diagnostic names the offending flag),
+2 when the verification suite fails.  Identical argv and seed (42 unless
+``--seed`` says otherwise) produce byte-identical output files: all randomness
+is counter-based and keyed by the seed, CSV floats carry 17 significant
+digits, and verify runs its suites one after another in registry order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,40 +36,6 @@ class FlagError(ValueError):
     def __init__(self, flag: str, message: str):
         super().__init__(f"{flag}: {message}")
         self.flag = flag
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 42
-    solver: geodesics.SolverConfig = geodesics.SolverConfig()
-    output_path: str = ""
-
-
-CONFIG_TYPES = {"seed": int, "solver": dict, "output_path": str}
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Read a JSON run configuration; any fault is a ``--config`` error."""
-    if not path:
-        return RunConfig()
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("the configuration must be a JSON object")
-        for key, value in raw.items():
-            if key not in CONFIG_TYPES:
-                accepted = ", ".join(CONFIG_TYPES)
-                raise ValueError(f"unknown key {key!r} (accepted: {accepted})")
-            if not isinstance(value, CONFIG_TYPES[key]) or isinstance(value, bool):
-                raise ValueError(f"{key} must be of type {CONFIG_TYPES[key].__name__}")
-        return RunConfig(
-            seed=raw.get("seed", 42),
-            solver=geodesics.SolverConfig(**raw.get("solver", {})),
-            output_path=raw.get("output_path", ""),
-        )
-    except (OSError, TypeError, ValueError) as exc:
-        raise FlagError("--config", str(exc))
 
 
 def _parse_with(flag: str, parser, text: str):
@@ -98,7 +63,7 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_distance(args, config: RunConfig) -> int:
+def cmd_distance(args) -> int:
     domain = _parse_with("--domain", parsing.parse_domain, args.domain)
     z = _member_point("--z", domain, args.z)
     w = _member_point("--w", domain, args.w)
@@ -110,13 +75,11 @@ def cmd_distance(args, config: RunConfig) -> int:
         value = fn(domain, z, w)
     except UnsupportedDomainError as exc:
         raise FlagError("--domain", str(exc))
-    _write_text(
-        args.out or config.output_path, parsing.format_float(value.value) + "\n"
-    )
+    _write_text(args.out, parsing.format_float(value.value) + "\n")
     return 0
 
 
-def cmd_gap(args, config: RunConfig) -> int:
+def cmd_gap(args) -> int:
     domain = HalfDiscScaled(args.r)
     z = _member_point("--z", domain, args.z)[0]
     w = _member_point("--w", domain, args.w)[0]
@@ -132,7 +95,7 @@ def cmd_gap(args, config: RunConfig) -> int:
         parsing.format_float(g.residual),
     ]
     text = "z,w,k_loc,k_glob,t1,t2,gap,residual\n" + ",".join(cells) + "\n"
-    _write_text(args.out or config.output_path, text)
+    _write_text(args.out, text)
     return 0
 
 
@@ -149,7 +112,7 @@ def _geodesic_oracle(domain: Domain, metric: str):
     return lambda Z, W: scale * base(Z, W)
 
 
-def cmd_geodesic(args, config: RunConfig) -> int:
+def cmd_geodesic(args) -> int:
     domain = _parse_with("--domain", parsing.parse_domain, args.domain)
     z = _member_point("--z", domain, args.z)
     w = _member_point("--w", domain, args.w)
@@ -161,10 +124,8 @@ def cmd_geodesic(args, config: RunConfig) -> int:
         }[args.metric](domain)
     except UnsupportedDomainError as exc:
         raise FlagError("--metric", str(exc))
-    nodes = args.nodes if args.nodes is not None else config.solver.node_count
-    levels = args.levels if args.levels is not None else config.solver.refinement_levels
     try:
-        solver = replace(config.solver, node_count=nodes, refinement_levels=levels)
+        solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=args.levels)
     except ValueError as exc:
         raise FlagError("--nodes", str(exc))
     try:
@@ -181,11 +142,11 @@ def cmd_geodesic(args, config: RunConfig) -> int:
         [coord for c in row for coord in (c.real, c.imag)] for row in curve.nodes
     ]
     payload = {"nodes": nodes, "length": length, "epsilon": epsilon}
-    _write_text(args.out or config.output_path, json.dumps(payload) + "\n")
+    _write_text(args.out, json.dumps(payload) + "\n")
     return 0
 
 
-def cmd_bergman(args, config: RunConfig) -> int:
+def cmd_bergman(args) -> int:
     domain = _parse_with("--domain", parsing.parse_domain, args.domain)
     z = _member_point("--z", domain, args.z)
     N = args.truncation
@@ -201,7 +162,7 @@ def cmd_bergman(args, config: RunConfig) -> int:
         if len(X) != dimension(domain):
             raise FlagError("--X", "vector dimension does not match the domain")
         try:
-            beta = bergman_lab.bergman_metric_numeric(domain, z, X, N, args.step)
+            beta = bergman_lab.bergman_metric_numeric(domain, z, X, N, 1e-3)
         except ValueError as exc:
             raise FlagError("--X", str(exc))
         beta_tilde = beta / math.sqrt(dimension(domain) + 1)
@@ -212,7 +173,7 @@ def cmd_bergman(args, config: RunConfig) -> int:
         "beta_tilde": beta_tilde,
         "tail": kr.tail_estimate,
     }
-    _write_text(args.out or config.output_path, json.dumps(payload) + "\n")
+    _write_text(args.out, json.dumps(payload) + "\n")
     return 0
 
 
@@ -249,11 +210,10 @@ def _sweep_rows(family: str, region: float, samples: int, seed: int):
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def cmd_sweep(args, config: RunConfig) -> int:
+def cmd_sweep(args) -> int:
     if args.samples < 2:
         raise FlagError("--samples", "need at least two samples")
-    seed = args.seed if args.seed is not None else config.seed
-    rows = _sweep_rows(args.family, args.region, args.samples, seed)
+    rows = _sweep_rows(args.family, args.region, args.samples, args.seed)
     lines = ["t,z,w,gap,rhs,ratio"]
     for t, z, w, gap, rhs, ratio in rows:
         lines.append(
@@ -268,15 +228,14 @@ def cmd_sweep(args, config: RunConfig) -> int:
                 ]
             )
         )
-    _write_text(args.out or config.output_path, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    seed = args.seed if args.seed is not None else config.seed
     try:
-        report, ok = verify.run_verify(names, seed)
+        report, ok = verify.run_verify(names, args.seed)
     except ValueError as exc:
         raise FlagError("--suite", str(exc))
     for name, entry in report.items():
@@ -284,8 +243,7 @@ def cmd_verify(args, config: RunConfig) -> int:
             f"{k}={parsing.format_float(v)}" for k, v in entry["measured"].items()
         )
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {name} {summary}")
-    out = args.out or config.output_path or "report.json"
-    with open(out, "w") as fh:
+    with open(args.out or "report.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return 0 if ok else 2
@@ -296,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="invlab",
         description="invariant-metric laboratory on model complex domains",
     )
-    parser.add_argument("--config", help="JSON run configuration", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("distance", help="closed-form distance between two points")
@@ -316,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--domain", required=True)
     geo.add_argument("--z", required=True)
     geo.add_argument("--w", required=True)
-    geo.add_argument("--nodes", type=int, default=None)
-    geo.add_argument("--levels", type=int, default=None)
+    geo.add_argument("--nodes", type=int, default=geodesics.SolverConfig.node_count)
+    geo.add_argument("--levels", type=int, default=geodesics.SolverConfig.refinement_levels)
     geo.add_argument(
         "--metric", choices=["kobayashi", "bergman", "nbergman"], default="kobayashi"
     )
@@ -328,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--z", required=True)
     b.add_argument("--X", default=None)
     b.add_argument("--truncation", type=int, default=50)
-    b.add_argument("--step", type=float, default=1e-3)
     b.add_argument("--out", default=None)
 
     s = sub.add_parser("sweep", help="gap-versus-bound sweep tables")
@@ -337,12 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--region", type=float, required=True)
     s.add_argument("--samples", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=42)
     s.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="run the verification suites")
     v.add_argument("--suite", default="all")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=42)
     v.add_argument("--out", default=None)
 
     return parser
@@ -377,8 +333,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        config = load_config(args.config)
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args)
     except ValueError as exc:  # FlagError and every invlab error
         print(f"error: {exc}", file=sys.stderr)
         return 1

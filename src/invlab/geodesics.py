@@ -41,6 +41,8 @@ from .geometry import (
 from .metrics import FinslerDensity
 
 GAUSS = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)  # two-point Gauss nodes on [0, 1]
+CONVERGENCE_TOL = 1e-9  # relative length drop over 50 iterations below which descent stops
+FINITE_DIFFERENCE_STEP = 1e-7  # central-difference step of the node gradient
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,7 @@ class Polyline:
 class SolverConfig:
     node_count: int = 65
     max_iterations: int = 3000
-    convergence_tol: float = 1e-9
     refinement_levels: int = 3
-    finite_difference_step: float = 1e-7
 
     def __post_init__(self):
         counts = (self.node_count, self.max_iterations, self.refinement_levels)
@@ -90,8 +90,6 @@ class SolverConfig:
             raise ValueError("node_count must be a power of two plus one")
         if min(self.max_iterations, self.refinement_levels) < 0:
             raise ValueError("iteration counts must be nonnegative")
-        if self.convergence_tol <= 0 or self.finite_difference_step <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _descend(
     k, n = nodes.shape
     if k <= 2:
         return nodes, _curve_length(density, nodes)
-    h = config.finite_difference_step
+    h = FINITE_DIFFERENCE_STEP
     # interior nodes shifted by +-h and +-ih per coordinate, in the gradient's order
     units = [(j, unit) for j in range(n) for unit in (1.0, 1j)]
     shifts = np.array([unit * h * np.eye(n)[j] for j, unit in units])[:, None, :]
@@ -240,7 +238,7 @@ def _descend(
             if step < 1e-16 * length:
                 break
         if (it + 1) % 50 == 0:
-            if window_mark - length < config.convergence_tol * max(length, 1e-30):
+            if window_mark - length < CONVERGENCE_TOL * max(length, 1e-30):
                 break
             window_mark = length
     return nodes, length

@@ -74,34 +74,14 @@ class ComplexPoint:
         return self.z
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a point of C^n; same length as the point."""
-
-    components: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("a vector needs at least one component")
-        object.__setattr__(
-            self, "components", tuple(complex(c) for c in self.components)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-
 PointLike = Union[ComplexPoint, complex, float, int, Sequence[complex]]
-VectorLike = Union[TangentVector, complex, float, int, Sequence[complex]]
+VectorLike = Union[complex, float, int, Sequence[complex]]
 
 
 def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
     """Coerce a point-like or vector-like value to a 1-d complex array."""
     if isinstance(z, ComplexPoint):
         return np.asarray(z.coords, dtype=complex)
-    if isinstance(z, TangentVector):
-        return np.asarray(z.components, dtype=complex)
     if isinstance(z, (complex, float, int)):
         return np.array([complex(z)], dtype=complex)
     if isinstance(z, np.ndarray) and z.ndim == 1:  # coordinates already coerced once

@@ -10,7 +10,6 @@ from invlab.bergman import (
     bergman_derivative_sup,
     bergman_kernel_diag,
     bergman_metric_numeric,
-    default_truncation,
     moment_table,
     monomial_moment,
 )
@@ -161,11 +160,6 @@ def test_moment_table_structure():
     assert all(v > 0 for v in table.moments.values())
 
 
-def test_default_truncation():
-    assert default_truncation(UnitDisc()) == 50
-    assert default_truncation(Ball(2)) == 20
-
-
 def test_errors():
     with pytest.raises(UnsupportedDomainError):
         monomial_moment(HalfPlane(), 0)
@@ -281,14 +275,21 @@ def test_non_integer_indices_and_degrees_are_refused():
 
 
 @pytest.mark.parametrize(
-    "domain, N",
-    [(Ball(2), 169), (Polydisc((0.5, 0.5)), 600), (Polydisc((1.3,)), 2000)],
+    "domain, N, alpha",
+    [
+        (Ball(2), 169, (200, 0)),
+        (Polydisc((0.5, 0.5)), 600, (600, 600)),
+        (Polydisc((1.3,)), 2000, 2000),
+    ],
     ids=repr,
 )
-def test_too_deep_truncation_is_a_value_error(domain, N):
+def test_too_deep_truncation_is_a_value_error(domain, N, alpha):
     # 171! overflows a double, 0.5^1200 underflows it, 1.3^4002 overflows it
     with pytest.raises(ValueError, match="too deep"):
         moment_table(domain, N)
+    # so does one such multi-index, asked for directly
+    with pytest.raises(ValueError, match="too deep"):
+        monomial_moment(domain, alpha)
 
 
 def _oracle_kernel_value(table, coords):
@@ -384,7 +385,7 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("domain", METRIC_DOMAINS, ids=repr)
 def test_metric_and_kernel_match_per_point_oracle(domain):
     rng = np.random.default_rng([5150, METRIC_DOMAINS.index(domain)])
-    N = default_truncation(domain)
+    N = 50 if domain == UnitDisc() else 20  # the CLI's 50 in C; 20 keeps C^2 tables small
     table = moment_table(domain, N)
     raises = 0
     points = _member_points(domain, rng, 40)

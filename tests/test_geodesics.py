@@ -161,8 +161,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(node_count=10)  # not 2^k + 1
     with pytest.raises(ValueError):
-        SolverConfig(convergence_tol=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(node_count=5, refinement_levels=4)
         minimize_curve(DISC, -0.5, 0.5, SolverConfig(node_count=5, refinement_levels=4))
 
@@ -228,7 +226,7 @@ def _reference_descend(density, nodes, config):
     k, n = nodes.shape
     if k <= 2:
         return nodes, float(np.sum(_reference_segment_lengths(density, nodes[:-1], nodes[1:])))
-    h = config.finite_difference_step
+    h = geodesics.FINITE_DIFFERENCE_STEP
     nodes = _reference_redistribute(density, nodes)
     seg = _reference_segment_lengths(density, nodes[:-1], nodes[1:])
     length = float(np.sum(seg))
@@ -268,7 +266,7 @@ def _reference_descend(density, nodes, config):
             if step < 1e-16 * length:
                 break
         if (it + 1) % 50 == 0:
-            if window_mark - length < config.convergence_tol * max(length, 1e-30):
+            if window_mark - length < geodesics.CONVERGENCE_TOL * max(length, 1e-30):
                 break
             window_mark = length
     return nodes, length
