@@ -125,9 +125,14 @@ def cmd_geodesic(args) -> int:
     except UnsupportedDomainError as exc:
         raise FlagError("--metric", str(exc))
     try:
-        solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=args.levels)
+        geodesics.SolverConfig(node_count=args.nodes)
     except ValueError as exc:
         raise FlagError("--nodes", str(exc))
+    # the coarsest level keeps both ends: (nodes - 1) / 2^levels >= 1
+    deepest = (args.nodes - 1).bit_length() - 1
+    if not 0 <= args.levels <= deepest:
+        raise FlagError("--levels", f"must lie in [0, {deepest}] for {args.nodes} nodes")
+    solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=args.levels)
     try:
         curve, length = geodesics.minimize_curve(density, z, w, solver)
     except UnsupportedDomainError as exc:

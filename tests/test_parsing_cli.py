@@ -352,6 +352,64 @@ def test_cli_geodesic_node_flags(tmp_path, capsys):
     assert cli.run_command(argv + ["--nodes", "18"]) == 1
     captured = capsys.readouterr()
     assert "--nodes" in captured.err and captured.out == ""
+    # the deepest refinement starts from the bare chord: 4 >> 2 = 1 segment
+    assert cli.run_command(argv + ["--nodes", "5", "--levels", "2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["nodes"]) == 5
+
+
+GEODESIC = ["geodesic", "--domain", "disc", "--z", "-0.5", "--w", "0.5"]
+SWEEP = ["sweep", "--samples", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["distance", "--domain", "disc", "--z", "0", "--w", "1.5"], "--w"),
+        (["distance", "--domain", "ball:n=2", "--z", "0.1", "--w", "0,0"], "--z"),
+        (["gap", "--z", "2i", "--w", "0.25i"], "--z"),
+        (["gap", "--z", "0.5i", "--w", "-0.25i"], "--w"),
+        (GEODESIC + ["--nodes", "2.5"], "--nodes"),
+        (GEODESIC + ["--levels", "-1"], "--levels"),
+        (GEODESIC + ["--nodes", "5", "--levels", "3"], "--levels"),
+        (["geodesic", "--domain", "halfplane", "--z", "1i", "--w", "2i", "--metric", "bergman"],
+         "--metric"),
+        (["bergman", "--domain", "ball:n=2", "--z", "0.1,0.1", "--X", "1"], "--X"),
+        (["bergman", "--domain", "disc", "--z", "0.1", "--X", "zz"], "--X"),
+        (SWEEP + ["--family", "imaginary-axis", "--region", "1.5"], "--region"),
+        (SWEEP + ["--family", "random-cap", "--region", "0"], "--region"),
+        (SWEEP + ["--family", "normal", "--region", "1.5"], "--region"),
+        (["sweep", "--family", "normal", "--region", "0.5", "--samples", "1"], "--samples"),
+        (SWEEP + ["--family", "normal", "--region", "0.5", "--seed", "abc"], "--seed"),
+        (["verify", "--suite", "nonsense"], "--suite"),
+    ],
+    ids=[
+        "distance-w-outside",
+        "distance-dimension",
+        "gap-z-outside",
+        "gap-w-outside",
+        "geodesic-fractional-nodes",
+        "geodesic-negative-levels",
+        "geodesic-levels-too-deep",
+        "geodesic-metric-unsupported",
+        "bergman-X-dimension",
+        "bergman-X-malformed",
+        "sweep-imaginary-axis-region",
+        "sweep-random-cap-region",
+        "sweep-normal-region",
+        "sweep-one-sample",
+        "sweep-bad-seed",
+        "verify-unknown-suite",
+    ],
+)
+def test_cli_faults_name_the_flag(argv, flag, capsys):
+    assert cli.run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    # the diagnostic (after argparse's usage lines) names that flag and no other
+    diagnostic = captured.err.strip().splitlines()[-1]
+    others = {a for a in argv if a.startswith("--")} - {flag}
+    assert flag in diagnostic, diagnostic
+    assert not any(other in diagnostic for other in others), diagnostic
 
 
 def test_run_verify_keeps_registry_order():
