@@ -30,13 +30,11 @@ from .conformal import (
     Cayley,
     Composition,
     HalfDiscToHalfPlane,
-    Identity,
     Mobius,
     Scale,
     apply,
     derivative,
     invert_by_newton,
-    numeric_derivative_check,
 )
 from .metrics import (
     FinslerDensity,
@@ -49,7 +47,6 @@ from .metrics import (
     normalized_bergman_density,
     pullback,
     pullback_density,
-    squeezing_sandwich,
 )
 from .distances import (
     DistanceValue,
@@ -73,7 +70,6 @@ from .geodesics import (
 from .bergman import (
     KernelResult,
     MomentTable,
-    bergman_derivative_sup,
     bergman_kernel_diag,
     bergman_metric_numeric,
     moment_table,
@@ -81,7 +77,6 @@ from .bergman import (
 )
 from .localization import (
     AdmissibleWeight,
-    BoundParams,
     BoundReport,
     check_admissible,
     empirical_constant,

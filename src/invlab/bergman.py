@@ -14,9 +14,7 @@ directions with step h, all five points in one series batch.  This numeric
 route is deliberately independent of the closed forms in :mod:`invlab.metrics`,
 so the two certify each other.  The point must lie 2 h |X| inside: a test on
 its moduli settles that for most points, and only the others pay for the exact
-boundary projection (an SLSQP of about 10 ms on ellipsoids).  The sup-type
-extremal value (largest |f'(z)X| over unit-norm functions vanishing at z) is
-recovered as metric times the square root of the kernel.
+boundary projection (an SLSQP of about 10 ms on ellipsoids).
 """
 
 from __future__ import annotations
@@ -184,8 +182,9 @@ def bergman_metric_numeric(
     Requires the base point to sit reach = 2 h |X| inside the domain.  The
     Reinhardt catalog members are complete: if the moduli of z plus 2 reach
     (2 is float slack) lie inside, so does every point within the reach, and
-    only points failing that call ``boundary_distance``.  A nonpositive
-    quadratic form signals a truncation degree too low for the point and raises.
+    only points failing that call ``boundary_distance``.  The zero vector has
+    metric 0; otherwise a nonpositive quadratic form signals a truncation
+    degree too low for the point and raises.
     """
     coords = as_coords(z)
     vec = as_coords(X)
@@ -193,11 +192,13 @@ def bergman_metric_numeric(
         raise MembershipError("point and vector dimensions differ")
     member_coords(domain, coords)
     table = moment_table(domain, N)
+    if not vec.any():
+        return 0.0
     reach = 2.0 * h * float(np.linalg.norm(vec))
     screened = contains(domain, _modulus(coords) + 2.0 * reach)
     if not screened and boundary_distance(domain, coords) < reach:
         raise MembershipError(
-            f"point is within {reach:g} of the boundary; decrease h"
+            f"point is within {reach:g} of the boundary, the reach of the difference stencil"
         )
     rows = [coords]
     for unit in (1.0, 1j):
@@ -214,14 +215,3 @@ def bergman_metric_numeric(
         )
     return math.sqrt(quad_form)
 
-
-def bergman_derivative_sup(
-    domain: Domain, z: PointLike, X: VectorLike, N: int, h: float
-) -> float:
-    """Largest |f'(z)X| over unit-norm square-integrable f with f(z) = 0.
-
-    Computed as metric times the square root of the kernel, the identity that
-    defines the metric in the first place.
-    """
-    beta = bergman_metric_numeric(domain, z, X, N, h)
-    return beta * bergman_kernel_diag(domain, z, N).kernel_sqrt

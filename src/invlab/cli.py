@@ -80,7 +80,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    domain = HalfDiscScaled(args.r)
+    domain = _parse_with("--r", HalfDiscScaled, args.r)
     z = _member_point("--z", domain, args.z)[0]
     w = _member_point("--w", domain, args.w)[0]
     g = distances.localization_gap(z, w, args.r)
@@ -168,8 +168,10 @@ def cmd_bergman(args) -> int:
             raise FlagError("--X", "vector dimension does not match the domain")
         try:
             beta = bergman_lab.bergman_metric_numeric(domain, z, X, N, 1e-3)
-        except ValueError as exc:
-            raise FlagError("--X", str(exc))
+        except MembershipError as exc:  # z too close to the boundary for the stencil
+            raise FlagError("--z", str(exc))
+        except ValueError as exc:  # a Hessian the truncated series leaves nonpositive
+            raise FlagError("--truncation", str(exc))
         beta_tilde = beta / math.sqrt(dimension(domain) + 1)
     payload = {
         "kernel": kr.kernel_diag,

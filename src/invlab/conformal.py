@@ -29,11 +29,6 @@ from .geometry import Domain, HalfDiscScaled, MembershipError, UnitDisc
 
 
 @dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
 class Scale:
     """z -> factor * z with a nonzero complex factor."""
 
@@ -83,9 +78,7 @@ class Composition:
         object.__setattr__(self, "maps", tuple(self.maps))
 
 
-MapDescriptor = Union[
-    Identity, Scale, Mobius, Cayley, HalfDiscToHalfPlane, Composition
-]
+MapDescriptor = Union[Scale, Mobius, Cayley, HalfDiscToHalfPlane, Composition]
 
 
 def source_domain(m: MapDescriptor) -> Optional[Domain]:
@@ -128,8 +121,6 @@ def _check_source(m: MapDescriptor, z: complex) -> None:
 
 
 def _apply(m: MapDescriptor, z):
-    if isinstance(m, Identity):
-        return z
     if isinstance(m, Scale):
         return m.factor * z
     if isinstance(m, Mobius):
@@ -146,8 +137,6 @@ def _apply(m: MapDescriptor, z):
 
 
 def _derivative(m: MapDescriptor, z):
-    if isinstance(m, Identity):
-        return np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0j
     if isinstance(m, Scale):
         return (
             np.full_like(z, m.factor) if isinstance(z, np.ndarray) else m.factor
@@ -180,14 +169,6 @@ def derivative(m: MapDescriptor, z: complex) -> complex:
     z = complex(z)
     _check_source(m, z)
     return complex(_derivative(m, z))
-
-
-def numeric_derivative_check(m: MapDescriptor, z: complex, h: float) -> float:
-    """Relative gap between the analytic derivative and a central difference of step h."""
-    z = complex(z)
-    exact = derivative(m, z)
-    approx = (apply(m, z + h) - apply(m, z - h)) / (2 * h)
-    return abs(approx - exact) / abs(exact)
 
 
 def invert_by_newton(

@@ -58,13 +58,9 @@ OVERFLOW_EDGE = 1.0 - 1e-15
 
 @dataclass(frozen=True)
 class DistanceValue:
-    """A nonnegative distance (or +inf marker) with its computation route."""
+    """A nonnegative distance (or +inf marker)."""
 
     value: float
-    method: str  # closed_form | pullback | solver
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -242,9 +238,7 @@ def kobayashi_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceVa
     """Closed-form distance on a catalog domain; +inf marker past the overflow edge."""
     zc = member_coords(domain, z, "z")
     wc = member_coords(domain, w, "w")
-    method = "pullback" if isinstance(domain, HalfDiscScaled) else "closed_form"
-    value = float(distance_batch(domain)(zc[None, :], wc[None, :])[0])
-    return DistanceValue(value, method)
+    return DistanceValue(float(distance_batch(domain)(zc[None, :], wc[None, :])[0]))
 
 
 def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:

@@ -68,10 +68,6 @@ class Polyline:
         ):
             raise MembershipError("polyline leaves the domain")
 
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
 
 @dataclass(frozen=True)
 class SolverConfig:

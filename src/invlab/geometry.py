@@ -63,16 +63,6 @@ class ComplexPoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def z(self) -> complex:
-        """The single coordinate of a planar point."""
-        if len(self.coords) != 1:
-            raise DimensionMismatchError("not a planar point")
-        return self.coords[0]
-
-    def __complex__(self) -> complex:
-        return self.z
-
 
 PointLike = Union[ComplexPoint, complex, float, int, Sequence[complex]]
 VectorLike = Union[complex, float, int, Sequence[complex]]
@@ -127,14 +117,14 @@ class Ball:
 
 @dataclass(frozen=True)
 class Polydisc:
-    """Product of discs of the given positive radii."""
+    """Product of discs of the given finite positive radii."""
 
     radii: tuple[float, ...]
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
-        if len(radii) < 1 or any(r <= 0 for r in radii):
-            raise ValueError("polydisc radii must be positive")
+        if len(radii) < 1 or not all(0.0 < r < math.inf for r in radii):
+            raise ValueError("polydisc radii must be finite and positive")
         object.__setattr__(self, "radii", radii)
 
 
@@ -164,8 +154,8 @@ class BallIntersection:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("cap radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("cap radius must be finite and positive")
         if self.center.dim != dimension(self.base):
             raise DimensionMismatchError("cap center has wrong dimension")
         if not _cap_nonempty(self.base, self.center, self.radius):
@@ -174,14 +164,14 @@ class BallIntersection:
 
 @dataclass(frozen=True)
 class ReinhardtEllipsoid:
-    """The Reinhardt domain sum_j |z_j|^(2 p_j) < 1 with positive exponents."""
+    """The Reinhardt domain sum_j |z_j|^(2 p_j) < 1 with finite positive exponents."""
 
     exponents: tuple[float, ...]
 
     def __post_init__(self):
         exps = tuple(float(p) for p in self.exponents)
-        if len(exps) < 1 or any(p <= 0 for p in exps):
-            raise ValueError("ellipsoid exponents must be positive")
+        if len(exps) < 1 or not all(0.0 < p < math.inf for p in exps):
+            raise ValueError("ellipsoid exponents must be finite and positive")
         object.__setattr__(self, "exponents", exps)
 
 

@@ -9,18 +9,20 @@ grid heuristics, exact for the power-law weights used throughout.  Any
 callable on (0, inf) can be checked and integrated; ``AdmissibleWeight`` is
 the power weight c x^alpha, whose integral is taken in closed form.
 
-The bound evaluators are plain formula shapes with free constants; none of
-the constants is asserted, they are estimated empirically by
-``empirical_constant`` and reported.  ``sharpness_sweep`` produces the tables
-showing that the two-term gap bound |z-w| (|z-w|/2 + min(Im z, Im w)) is
-tight on the imaginary axis and that neither additive term can be dropped.
+The bound evaluators are plain formula shapes.  The weight bounds fix their
+constants at 1 and keep only the contact order m; the excursion, planar and
+near-boundary shapes take one constant C from the caller.  No constant is
+asserted: ``empirical_constant`` estimates it and reports it.
+``sharpness_sweep`` produces the tables showing that the two-term gap bound
+|z-w| (|z-w|/2 + min(Im z, Im w)) is tight on the imaginary axis and that
+neither additive term can be dropped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,37 +126,24 @@ def weight_integral(f: WeightLike, T: float) -> float:
     return body + f1 / alpha_hat
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Free constants of the bound shapes; m is the contact-order exponent."""
-
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    C: float = 1.0
-    m: int = 1
-
-    def __post_init__(self):
-        if min(self.c1, self.c2, self.c3, self.C) <= 0 or self.m < 1:
-            raise ValueError("constants must be positive with m >= 1")
-
-
-def integrated_weight_bound(
-    f: WeightLike, params: BoundParams, z: complex, w: complex
-) -> float:
-    """c1 * integral_0^(c2 |z-w|^(1/2m)) f(x)/x dx."""
+def integrated_weight_bound(f: WeightLike, z: complex, w: complex, m: int = 1) -> float:
+    """integral_0^(|z-w|^(1/2m)) f(x)/x dx, for a contact order m >= 1."""
+    if m < 1:
+        raise ValueError("contact order m must be >= 1")
     sep = abs(complex(z) - complex(w))
     if sep == 0.0:
         return 0.0
-    return params.c1 * weight_integral(f, params.c2 * sep ** (1.0 / (2 * params.m)))
+    return weight_integral(f, sep ** (1.0 / (2 * m)))
 
 
 def ratio_weight_bound(
-    f: WeightLike, params: BoundParams, z: complex, w: complex, delta_z: float
+    f: WeightLike, z: complex, w: complex, delta_z: float, m: int = 1
 ) -> float:
-    """1 + f(c3 (delta_z + |z-w|^(1/2m)))."""
+    """1 + f(delta_z + |z-w|^(1/2m)), for a contact order m >= 1."""
+    if m < 1:
+        raise ValueError("contact order m must be >= 1")
     sep = abs(complex(z) - complex(w))
-    arg = params.c3 * (delta_z + sep ** (1.0 / (2 * params.m)))
+    arg = delta_z + sep ** (1.0 / (2 * m))
     if arg == 0.0:
         return 1.0
     return 1.0 + f(arg)
@@ -188,7 +177,7 @@ def near_boundary_upper_bound(
     if min(delta_z, delta_w) <= 0:
         raise ValueError("boundary distances must be positive")
     sep = abs(complex(z) - complex(w))
-    return _scaled_log_bound(1, C, sep, math.sqrt(delta_z * delta_w))
+    return math.log1p(C * sep / math.sqrt(delta_z * delta_w))
 
 
 def near_boundary_lower_bound(
@@ -198,11 +187,7 @@ def near_boundary_lower_bound(
     if delta_z <= 0:
         raise ValueError("boundary distance must be positive")
     sep = abs(complex(z) - complex(w))
-    return _scaled_log_bound(m, C, sep, delta_z ** (1.0 / (2 * m)))
-
-
-def _scaled_log_bound(m: int, C: float, sep: float, denom: float) -> float:
-    return m * math.log1p(C * sep / denom)
+    return m * math.log1p(C * sep / delta_z ** (1.0 / (2 * m)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,6 @@ class BoundReport:
     max_ratio: float
     argmax_pair: tuple[complex, complex]
     sample_count: int
-    fitted_exponent: Optional[float] = None
 
 
 def empirical_constant(

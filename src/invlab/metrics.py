@@ -75,9 +75,6 @@ class FinslerDensity:
         """Unvalidated batch evaluation; outside points give +inf."""
         return self.core(np.atleast_2d(Z), np.atleast_2d(X))
 
-    def __call__(self, z: PointLike, X: VectorLike) -> float:
-        return self.evaluate(z, X)
-
 
 def _masked(vals: np.ndarray, inside: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
@@ -276,17 +273,3 @@ def pullback_density(
 ) -> float:
     return pullback(m, density).evaluate(z, X)
 
-
-def squeezing_sandwich(
-    domain: Domain, z: PointLike, X: VectorLike, sigma: float
-) -> tuple[float, float, float]:
-    """Ratio (normalized Bergman / Kobayashi) with its squeezing bounds.
-
-    For a user-supplied squeezing constant sigma in (0, 1], returns
-    (ratio, sigma^(n+1), sigma^-(n+1)); the ratio must land between the two.
-    """
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError("squeezing constant must lie in (0, 1]")
-    n = dimension(domain)
-    ratio = normalized_bergman(domain, z, X) / kobayashi_royden_density(domain, z, X)
-    return ratio, sigma ** (n + 1), sigma ** (-(n + 1))

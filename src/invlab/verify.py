@@ -289,17 +289,16 @@ def suite_weight_bounds(seed: int) -> dict:
         localization.VIOLATION_RATIO_NOT_DECREASING in square_violations
         and localization.VIOLATION_NOT_UNBOUNDED in const_violations
     )
-    params = localization.BoundParams()
     bound_err = max(
         abs(
             localization.integrated_weight_bound(
-                localization.power_weight(1.0, 0.5), params, 0.0, 1e-4
+                localization.power_weight(1.0, 0.5), 0.0, 1e-4
             )
             - 0.2
         ),
         abs(
             localization.ratio_weight_bound(
-                localization.linear_weight(1.0), params, 0.0, 0.04, 0.01
+                localization.linear_weight(1.0), 0.0, 0.04, 0.01
             )
             - 1.21
         ),

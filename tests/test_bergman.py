@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from invlab import bergman
 from invlab.bergman import (
-    bergman_derivative_sup,
     bergman_kernel_diag,
     bergman_metric_numeric,
     moment_table,
@@ -122,18 +121,17 @@ def test_metric_examples():
     ) == pytest.approx(math.sqrt(2.0) / 0.75, abs=1e-3)
 
 
-def test_derivative_sup_examples():
-    assert bergman_derivative_sup(UnitDisc(), 0.0, 1.0, 50, 1e-3) == pytest.approx(
-        math.sqrt(2 / math.pi), abs=1e-4
-    )
-    assert bergman_derivative_sup(Ball(2), (0, 0), (1, 0), 20, 1e-3) == pytest.approx(
-        math.sqrt(6.0) / math.pi, abs=1e-4
-    )
+def test_metric_numeric_homogeneity():
     # homogeneity holds up to the step bias, which scales with |lambda|^2
     lam = 2.0 - 1.5j
-    base = bergman_derivative_sup(UnitDisc(), 0.0, 1.0, 50, 1e-3)
-    scaled = bergman_derivative_sup(UnitDisc(), 0.0, lam, 50, 1e-3)
+    base = bergman_metric_numeric(UnitDisc(), 0.0, 1.0, 50, 1e-3)
+    scaled = bergman_metric_numeric(UnitDisc(), 0.0, lam, 50, 1e-3)
     assert scaled == pytest.approx(abs(lam) * base, rel=1e-5)
+
+
+def test_zero_vector_has_metric_zero():
+    assert bergman_metric_numeric(UnitDisc(), 0.5, 0, 50, 1e-3) == 0.0
+    assert bergman_metric_numeric(Ball(2), (0.5, 0.1j), (0, 0), 20, 1e-3) == 0.0
 
 
 def test_normalized_ratio_near_one_on_disc():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab.distances import (
-    DistanceValue,
     GapDecomposition,
     caratheodory_distance,
     disc_distance_batch,
@@ -62,7 +61,6 @@ def test_kobayashi_distance_examples():
     )
     got = kobayashi_distance(HalfDiscScaled(1.0), 0.5j, 0.25j)
     assert got.value == pytest.approx(0.5 * math.log(2.5), abs=1e-14)
-    assert got.method == "pullback"
     assert kobayashi_distance(Polydisc((1.0, 1.0)), (0, 0), (0.5, 0.3)).value == (
         pytest.approx(math.atanh(0.5), abs=1e-15)
     )
@@ -325,8 +323,3 @@ def test_gap_decomposition_invariant():
         GapDecomposition(1.0, 0.2, 0.3, 0.0, 2.0, 1.0)
     g = GapDecomposition(0.5, 0.2, 0.3, 1e-13, 2.0, 1.5)
     assert g.gap == 0.5
-
-
-def test_distance_value_float_conversion():
-    v = DistanceValue(1.5, "closed_form")
-    assert float(v) == 1.5

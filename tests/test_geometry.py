@@ -334,3 +334,10 @@ def test_point_validation():
         HalfDiscScaled(1.5)
     with pytest.raises(ValueError):
         Polydisc((1.0, -1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Polydisc((bad, 1.0))
+        with pytest.raises(ValueError):
+            ReinhardtEllipsoid((1.0, bad))
+        with pytest.raises(ValueError):
+            BallIntersection(HalfPlane(), ComplexPoint((0.5j,)), bad)

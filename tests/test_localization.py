@@ -13,8 +13,6 @@ from invlab.localization import (
     VIOLATION_INTEGRAL_DIVERGES,
     VIOLATION_NOT_UNBOUNDED,
     VIOLATION_RATIO_NOT_DECREASING,
-    BoundParams,
-    BoundReport,
     check_admissible,
     empirical_constant,
     fit_exponent,
@@ -64,24 +62,20 @@ def test_weight_integral_quadrature_matches_closed_form():
 
 
 def test_integrated_weight_bound_example():
-    params = BoundParams(c1=1.0, c2=1.0, m=1)
-    got = integrated_weight_bound(power_weight(1.0, 0.5), params, 0.0, 1e-4)
+    got = integrated_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4)
     assert got == pytest.approx(0.2, abs=1e-12)
-    assert integrated_weight_bound(power_weight(1.0, 0.5), params, 0.3j, 0.3j) == 0.0
+    assert integrated_weight_bound(power_weight(1.0, 0.5), 0.3j, 0.3j) == 0.0
     # monotone in the separation
     seps = np.geomspace(1e-6, 1e-2, 12)
-    vals = [
-        integrated_weight_bound(power_weight(1.0, 0.5), params, 0.0, s) for s in seps
-    ]
+    vals = [integrated_weight_bound(power_weight(1.0, 0.5), 0.0, s) for s in seps]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_ratio_weight_bound_example():
-    params = BoundParams(c3=1.0, m=1)
-    got = ratio_weight_bound(linear_weight(1.0), params, 0.0, 0.04, 0.01)
+    got = ratio_weight_bound(linear_weight(1.0), 0.0, 0.04, 0.01)
     assert got == pytest.approx(1.21, abs=1e-12)
-    assert ratio_weight_bound(linear_weight(1.0), params, 0.2, 0.2, 0.0) == 1.0
-    got = ratio_weight_bound(power_weight(1.0, 0.5), params, 0.0, 1e-4, 0.0)
+    assert ratio_weight_bound(linear_weight(1.0), 0.2, 0.2, 0.0) == 1.0
+    got = ratio_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4, 0.0)
     assert got == pytest.approx(1.1, abs=1e-12)
 
 
@@ -284,17 +278,13 @@ def test_ratio_shape_report_records_constant_and_exponent():
         ]
     )
     assert slope > 1.0
-    enriched = BoundReport(
-        report.max_ratio, report.argmax_pair, report.sample_count, slope
-    )
-    assert enriched.fitted_exponent == slope
 
 
-def test_bound_params_validation():
+def test_bound_shape_validation():
     with pytest.raises(ValueError):
-        BoundParams(c1=-1.0)
+        integrated_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4, m=0)
     with pytest.raises(ValueError):
-        BoundParams(m=0)
+        ratio_weight_bound(linear_weight(1.0), 0.0, 0.04, 0.01, m=0)
     with pytest.raises(ValueError):
         power_weight(1.0, 2.0)
     with pytest.raises(ValueError):

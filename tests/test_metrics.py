@@ -28,7 +28,6 @@ from invlab.metrics import (
     normalized_bergman_density,
     pullback,
     pullback_density,
-    squeezing_sandwich,
 )
 from invlab.sampling import ball_points, disc_points, halfdisc_points
 
@@ -73,7 +72,7 @@ def test_pullback_examples():
     assert got == pytest.approx(5.0 / 3.0, abs=1e-13)
 
     disc = kobayashi_density(UnitDisc())
-    assert pullback_density(conformal.Identity(), disc, 0.3, 1) == pytest.approx(
+    assert pullback_density(conformal.Scale(1), disc, 0.3, 1) == pytest.approx(
         kobayashi_royden_density(UnitDisc(), 0.3, 1), abs=1e-15
     )
     # the half-plane density is the disc density seen through the inverse Cayley map
@@ -157,16 +156,18 @@ def test_normalized_bergman_equals_kobayashi_on_disc_and_ball():
     np.testing.assert_allclose(nb2, kb2, rtol=1e-12)
 
 
-def test_squeezing_sandwich_on_bidisc():
-    sigma = 1.0 / math.sqrt(2.0)
+def test_bidisc_normalized_bergman_over_kobayashi():
+    # sqrt(2/3) |v|_2 / |v|_inf with v_j = |X_j| / (1 - |z_j|^2): inside
+    # [sqrt(2/3), sqrt(4/3)], so inside the squeezing bounds 2^(-3/2), 2^(3/2)
+    dom = Polydisc((1.0, 1.0))
     rng = np.random.default_rng(2)
     pts = np.stack(
         [disc_points(21, 300, 0.97), disc_points(22, 300, 0.97)], axis=1
     )
     for z in pts[:50]:
         X = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        ratio, lo, hi = squeezing_sandwich(Polydisc((1.0, 1.0)), z, X, sigma)
-        assert lo <= ratio <= hi
+        ratio = normalized_bergman(dom, z, X) / kobayashi_royden_density(dom, z, X)
+        assert math.sqrt(2 / 3) * (1 - 1e-12) <= ratio <= math.sqrt(4 / 3) * (1 + 1e-12)
 
 
 def test_product_density_is_max_of_factors():

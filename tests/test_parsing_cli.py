@@ -366,8 +366,11 @@ SWEEP = ["sweep", "--samples", "4"]
     [
         (["distance", "--domain", "disc", "--z", "0", "--w", "1.5"], "--w"),
         (["distance", "--domain", "ball:n=2", "--z", "0.1", "--w", "0,0"], "--z"),
+        (["distance", "--domain", "torus", "--z", "0", "--w", "0.5"], "--domain"),
+        (["distance", "--domain", "polydisc:r=inf,1", "--z", "5,0", "--w", "7,0"], "--domain"),
         (["gap", "--z", "2i", "--w", "0.25i"], "--z"),
         (["gap", "--z", "0.5i", "--w", "-0.25i"], "--w"),
+        (["gap", "--z", "0.5i", "--w", "0.25i", "--r", "2"], "--r"),
         (GEODESIC + ["--nodes", "2.5"], "--nodes"),
         (GEODESIC + ["--levels", "-1"], "--levels"),
         (GEODESIC + ["--nodes", "5", "--levels", "3"], "--levels"),
@@ -375,6 +378,10 @@ SWEEP = ["sweep", "--samples", "4"]
          "--metric"),
         (["bergman", "--domain", "ball:n=2", "--z", "0.1,0.1", "--X", "1"], "--X"),
         (["bergman", "--domain", "disc", "--z", "0.1", "--X", "zz"], "--X"),
+        (["bergman", "--domain", "ellipsoid:p=1,nan", "--z", "0,0"], "--domain"),
+        (["bergman", "--domain", "disc", "--z", "0.999", "--X", "1"], "--z"),
+        (["bergman", "--domain", "disc", "--z", "0.1", "--X", "1", "--truncation", "0"],
+         "--truncation"),
         (SWEEP + ["--family", "imaginary-axis", "--region", "1.5"], "--region"),
         (SWEEP + ["--family", "random-cap", "--region", "0"], "--region"),
         (SWEEP + ["--family", "normal", "--region", "1.5"], "--region"),
@@ -385,14 +392,20 @@ SWEEP = ["sweep", "--samples", "4"]
     ids=[
         "distance-w-outside",
         "distance-dimension",
+        "distance-unknown-domain",
+        "distance-infinite-radius",
         "gap-z-outside",
         "gap-w-outside",
+        "gap-radius-out-of-range",
         "geodesic-fractional-nodes",
         "geodesic-negative-levels",
         "geodesic-levels-too-deep",
         "geodesic-metric-unsupported",
         "bergman-X-dimension",
         "bergman-X-malformed",
+        "bergman-nan-exponent",
+        "bergman-z-near-boundary",
+        "bergman-truncation-zero",
         "sweep-imaginary-axis-region",
         "sweep-random-cap-region",
         "sweep-normal-region",
