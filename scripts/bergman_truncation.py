@@ -13,7 +13,7 @@ import os
 
 from invlab.bergman import bergman_kernel_diag, bergman_metric_numeric
 from invlab.geometry import Ball, ReinhardtEllipsoid, UnitDisc
-from invlab.parsing import format_float
+from invlab.parsing import csv_line
 
 CASES = [
     ("disc", UnitDisc(), (0.5,), (1.0,), 1 / (math.pi * 0.75**2), math.sqrt(2) / 0.75),
@@ -37,20 +37,8 @@ def main():
             for N in DEGREES:
                 kr = bergman_kernel_diag(domain, z, N)
                 beta = bergman_metric_numeric(domain, z, X, N, STEP)
-                fh.write(
-                    ",".join(
-                        [
-                            name,
-                            str(N),
-                            format_float(kr.kernel_diag),
-                            format_float(kr.tail_estimate),
-                            format_float(beta),
-                            format_float(kernel_exact) if kernel_exact else "",
-                            format_float(beta_exact) if beta_exact else "",
-                        ]
-                    )
-                    + "\n"
-                )
+                row = (name, N, kr.kernel_diag, kr.tail_estimate, beta, kernel_exact, beta_exact)
+                fh.write(csv_line(*row))
             log.info(f"{name:9s} N={N}: kernel={kr.kernel_diag:.10g} beta={beta:.8g}")
     log.info(f"wrote {OUT}")
 

@@ -16,7 +16,7 @@ from invlab.distances import distance_batch, kobayashi_distance
 from invlab.geodesics import SolverConfig, epsilon_certificate, minimize_curve
 from invlab.geometry import HalfPlane, UnitDisc
 from invlab.metrics import kobayashi_density
-from invlab.parsing import format_complex, format_float
+from invlab.parsing import csv_line
 
 PAIRS = [
     (UnitDisc(), -0.5, 0.5),
@@ -47,23 +47,11 @@ def main():
                 eps = epsilon_certificate(curve, density, distance_batch(domain)).epsilon
                 seconds = time.perf_counter() - start
                 rel = abs(length - exact) / exact
-                fh.write(
-                    ",".join(
-                        [
-                            type(domain).__name__,
-                            format_complex(z),
-                            format_complex(w),
-                            str(nodes),
-                            format_float(length),
-                            format_float(exact),
-                            format_float(rel),
-                            format_float(eps),
-                        ]
-                    )
-                    + "\n"
-                )
+                name = type(domain).__name__
+                # complex(): a real literal in PAIRS still prints as a+bi
+                fh.write(csv_line(name, complex(z), complex(w), nodes, length, exact, rel, eps))
                 log.info(
-                    f"{type(domain).__name__:9s} {z} -> {w}  nodes={nodes:4d}  "
+                    f"{name:9s} {z} -> {w}  nodes={nodes:4d}  "
                     f"rel={rel:.2e}  eps={eps:.2e}  {seconds:.2f}s"
                 )
     log.info(f"wrote {OUT}")

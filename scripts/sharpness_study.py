@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from invlab.localization import sharpness_sweep
-from invlab.parsing import format_complex, format_float
+from invlab.parsing import csv_line
 
 T_GRID = np.geomspace(1e-4, 0.1, 25)
 OUT = os.path.join("out", "sharpness.csv")
@@ -30,20 +30,7 @@ def main():
     with open(OUT, "w") as fh:
         fh.write("family,t,z,w,gap,bound,ratio\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.family,
-                        format_float(r.t),
-                        format_complex(r.z),
-                        format_complex(r.w),
-                        format_float(r.gap),
-                        format_float(r.bound),
-                        format_float(r.ratio),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(csv_line(r.family, r.t, r.z, r.w, r.gap, r.bound, r.ratio))
     for family in ("balanced", "drop-boundary", "drop-separation"):
         ratios = [r.ratio for r in rows if r.family == family]
         log.info(

@@ -84,18 +84,8 @@ def cmd_gap(args) -> int:
     z = _member_point("--z", domain, args.z)[0]
     w = _member_point("--w", domain, args.w)[0]
     g = distances.localization_gap(z, w, args.r)
-    cells = [
-        parsing.format_complex(z),
-        parsing.format_complex(w),
-        parsing.format_float(g.k_local),
-        parsing.format_float(g.k_global),
-        parsing.format_float(g.term_boundary),
-        parsing.format_float(g.term_separation),
-        parsing.format_float(g.gap),
-        parsing.format_float(g.residual),
-    ]
-    text = "z,w,k_loc,k_glob,t1,t2,gap,residual\n" + ",".join(cells) + "\n"
-    _write_text(args.out, text)
+    row = (z, w, g.k_local, g.k_global, g.term_boundary, g.term_separation, g.gap, g.residual)
+    _write_text(args.out, "z,w,k_loc,k_glob,t1,t2,gap,residual\n" + parsing.csv_line(*row))
     return 0
 
 
@@ -123,16 +113,14 @@ def cmd_geodesic(args) -> int:
             "nbergman": metrics.normalized_bergman_density,
         }[args.metric](domain)
     except UnsupportedDomainError as exc:
-        raise FlagError("--metric", str(exc))
-    try:
-        geodesics.SolverConfig(node_count=args.nodes)
-    except ValueError as exc:
-        raise FlagError("--nodes", str(exc))
-    # the coarsest level keeps both ends: (nodes - 1) / 2^levels >= 1
-    deepest = (args.nodes - 1).bit_length() - 1
-    if not 0 <= args.levels <= deepest:
-        raise FlagError("--levels", f"must lie in [0, {deepest}] for {args.nodes} nodes")
-    solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=args.levels)
+        # the Kobayashi density is the default, so when it is missing the domain is at fault
+        raise FlagError("--domain" if args.metric == "kobayashi" else "--metric", str(exc))
+    # --nodes must make a config on its own before --levels is checked against it
+    for flag, levels in (("--nodes", 0), ("--levels", args.levels)):
+        try:
+            solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=levels)
+        except ValueError as exc:
+            raise FlagError(flag, str(exc))
     try:
         curve, length = geodesics.minimize_curve(density, z, w, solver)
     except UnsupportedDomainError as exc:
@@ -221,30 +209,13 @@ def cmd_sweep(args) -> int:
     if args.samples < 2:
         raise FlagError("--samples", "need at least two samples")
     rows = _sweep_rows(args.family, args.region, args.samples, args.seed)
-    lines = ["t,z,w,gap,rhs,ratio"]
-    for t, z, w, gap, rhs, ratio in rows:
-        lines.append(
-            ",".join(
-                [
-                    parsing.format_float(t),
-                    parsing.format_complex(z),
-                    parsing.format_complex(w),
-                    parsing.format_float(gap),
-                    parsing.format_float(rhs),
-                    parsing.format_float(ratio),
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "t,z,w,gap,rhs,ratio\n" + "".join(parsing.csv_line(*r) for r in rows))
     return 0
 
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    try:
-        report, ok = verify.run_verify(names, args.seed)
-    except ValueError as exc:
-        raise FlagError("--suite", str(exc))
+    report, ok = verify.run_verify(names, args.seed)
     for name, entry in report.items():
         summary = " ".join(
             f"{k}={parsing.format_float(v)}" for k, v in entry["measured"].items()
@@ -304,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="run the verification suites")
-    v.add_argument("--suite", default="all")
+    v.add_argument("--suite", choices=["all", *verify.SUITES], default="all")
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--out", default=None)
 
@@ -340,6 +311,9 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        # samplers key Philox, whose keys lie in [0, 2**128), with the seed plus at most 101
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise FlagError("--seed", "must lie in [0, 2**64)")
         return COMMANDS[args.command](args)
     except ValueError as exc:  # FlagError and every invlab error
         print(f"error: {exc}", file=sys.stderr)

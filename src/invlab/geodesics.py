@@ -84,8 +84,14 @@ class SolverConfig:
         if (self.node_count - 1) & (self.node_count - 2) != 0:
             # power of two plus one, so dyadic refinement lands exactly on it
             raise ValueError("node_count must be a power of two plus one")
-        if min(self.max_iterations, self.refinement_levels) < 0:
-            raise ValueError("iteration counts must be nonnegative")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
+        # the coarsest level keeps both ends: (node_count - 1) / 2^levels >= 1
+        deepest = (self.node_count - 1).bit_length() - 1
+        if not 0 <= self.refinement_levels <= deepest:
+            raise ValueError(
+                f"refinement_levels must lie in [0, {deepest}] for {self.node_count} nodes"
+            )
 
 
 @dataclass(frozen=True)
@@ -264,8 +270,6 @@ def minimize_curve(
         raise ValueError("minimize_curve needs a density with a domain")
     za, wa = as_coords(z), as_coords(w)
     coarse = (config.node_count - 1) >> config.refinement_levels
-    if coarse < 1:
-        raise ValueError("refinement_levels too deep for this node_count")
     t = np.linspace(0.0, 1.0, coarse + 1)[:, None]
     nodes = (1 - t) * za[None, :] + t * wa[None, :]
     if not contains_batch(density.domain, nodes).all():

@@ -1,4 +1,4 @@
-"""Literals for the command line: complex numbers, domains, CSV floats.
+"""Literals for the command line: complex numbers, domains, CSV rows.
 
 Complex literal grammar: ``a``, ``bi``, ``a+bi``, ``a-bi`` with decimal or
 scientific components; a bare ``i`` (optionally signed) means the unit.
@@ -6,7 +6,8 @@ Domain literals: ``disc``, ``halfplane``, ``halfdisc:r=<r>``, ``ball:n=<n>``,
 ``polydisc:r=<r1>,<r2>,...``, ``ellipsoid:p=<p1>,<p2>``, and
 ``cap(<domain>;c=<point>;r=<r>)`` for ball intersections.
 
-Floats print with 17 significant digits so CSV round-trips doubles exactly.
+Floats print with 17 significant digits so CSV round-trips doubles exactly;
+``csv_line`` formats every CSV row the CLI and the experiment scripts write.
 """
 
 from __future__ import annotations
@@ -103,3 +104,15 @@ def format_complex(z: complex) -> str:
     z = complex(z)
     sign = "+" if z.imag >= 0 else "-"
     return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
+
+
+def csv_line(*cells) -> str:
+    """One CSV row with its newline: floats and complex numbers at full
+    precision, None as an empty cell, anything else through str."""
+    return ",".join(
+        "" if c is None
+        else format_float(c) if isinstance(c, float)
+        else format_complex(c) if isinstance(c, complex)
+        else str(c)
+        for c in cells
+    ) + "\n"

@@ -52,10 +52,8 @@ def test_halfdisc_map_lands_in_halfplane():
     pts = halfdisc_points(7, 10_000, 1.0)
     images = np.array([apply(F, z) for z in pts[:200]])
     assert np.all(images.imag > 0)
-    # full batch through the raw core
-    from invlab.conformal import _apply
-
-    assert np.all(_apply(F, pts).imag > 0)
+    # full batch through the unvalidated method
+    assert np.all(F.image(pts).imag > 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,6 +79,20 @@ def test_pullback_examples():
     assert pullback_density(INV_CAYLEY, disc, 1j, 1) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_pullback_through_a_composition_is_the_halfdisc_density():
+    # the map route (the composition's own source, image and derivative)
+    # against the closed form; Scale(2) is invisible to the half-plane density
+    m = conformal.Composition((conformal.Scale(2.0), conformal.HalfDiscToHalfPlane()))
+    pulled = pullback(m, kobayashi_density(HalfPlane()))
+    assert pulled.domain == HalfDiscScaled(1.0)
+    Z = halfdisc_points(11, 2000, 0.99)[:, None]
+    X = np.exp(1j * np.linspace(0.0, 6.0, len(Z)))[:, None]
+    want = kobayashi_density(HalfDiscScaled(1.0)).evaluate_batch(Z, X)
+    np.testing.assert_allclose(pulled.evaluate_batch(Z, X), want, rtol=1e-12, atol=0)
+    outside = np.array([[0.5 - 0.1j], [0.3 + 0j], [1.2j], [-0.8 + 0.8j], [complex(0, np.inf)]])
+    assert np.all(pulled.evaluate_batch(outside, np.ones_like(outside)) == np.inf)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     rr=st.floats(0.05, 0.9),

@@ -296,6 +296,16 @@ def test_bergman_truncation_study_reproduces_the_committed_table(tmp_path):
         assert written == fh.read()
 
 
+def test_geodesic_convergence_study_reproduces_the_committed_table(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    script = os.path.join(REPO, "scripts", "geodesic_convergence.py")
+    run = subprocess.run([sys.executable, script], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    written = (tmp_path / "out" / "geodesic_convergence.csv").read_bytes()
+    with open(os.path.join(REPO, "out", "geodesic_convergence.csv"), "rb") as fh:
+        assert written == fh.read()
+
+
 def test_cli_verify_subset(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.run_command(
@@ -376,6 +386,7 @@ SWEEP = ["sweep", "--samples", "4"]
         (GEODESIC + ["--nodes", "5", "--levels", "3"], "--levels"),
         (["geodesic", "--domain", "halfplane", "--z", "1i", "--w", "2i", "--metric", "bergman"],
          "--metric"),
+        (["geodesic", "--domain", "ellipsoid:p=1,2", "--z", "0.1,0", "--w", "0.2,0"], "--domain"),
         (["bergman", "--domain", "ball:n=2", "--z", "0.1,0.1", "--X", "1"], "--X"),
         (["bergman", "--domain", "disc", "--z", "0.1", "--X", "zz"], "--X"),
         (["bergman", "--domain", "ellipsoid:p=1,nan", "--z", "0,0"], "--domain"),
@@ -387,7 +398,10 @@ SWEEP = ["sweep", "--samples", "4"]
         (SWEEP + ["--family", "normal", "--region", "1.5"], "--region"),
         (["sweep", "--family", "normal", "--region", "0.5", "--samples", "1"], "--samples"),
         (SWEEP + ["--family", "normal", "--region", "0.5", "--seed", "abc"], "--seed"),
+        (["sweep", "--family", "random-cap", "--region", "0.1", "--samples", "3", "--seed", "-1"],
+         "--seed"),
         (["verify", "--suite", "nonsense"], "--suite"),
+        (["verify", "--suite", "gap_decomposition", "--seed", "-1"], "--seed"),
     ],
     ids=[
         "distance-w-outside",
@@ -401,6 +415,7 @@ SWEEP = ["sweep", "--samples", "4"]
         "geodesic-negative-levels",
         "geodesic-levels-too-deep",
         "geodesic-metric-unsupported",
+        "geodesic-default-metric-unsupported",
         "bergman-X-dimension",
         "bergman-X-malformed",
         "bergman-nan-exponent",
@@ -411,7 +426,9 @@ SWEEP = ["sweep", "--samples", "4"]
         "sweep-normal-region",
         "sweep-one-sample",
         "sweep-bad-seed",
+        "sweep-negative-seed",
         "verify-unknown-suite",
+        "verify-negative-seed",
     ],
 )
 def test_cli_faults_name_the_flag(argv, flag, capsys):
