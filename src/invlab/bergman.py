@@ -5,8 +5,9 @@ holomorphic space, so the kernel on the diagonal is the lacunary series
 sum over alpha of |z^alpha|^2 / moment(alpha), with
 moment(alpha) = integral over the domain of |z^alpha|^2 dV.  Moments come in
 closed form (factorials and powers for discs, polydiscs and balls; one Beta
-function per radial factor for ellipsoids, the only route importing scipy), and
-a table is one array-mode ``monomial_moment`` call over all its multi-indices.
+function per radial factor for ellipsoids, from scipy.special, the only scipy
+this module loads), and a table is one array-mode ``monomial_moment`` call over
+all its multi-indices.
 
 The metric is the square root of the log-kernel complex Hessian quadratic
 form, evaluated by second-order central differences in the X and iX
@@ -14,7 +15,7 @@ directions with step h, all five points in one series batch.  This numeric
 route is deliberately independent of the closed forms in :mod:`invlab.metrics`,
 so the two certify each other.  The point must lie 2 h |X| inside: a test on
 its moduli settles that for most points, and only the others pay for the exact
-boundary projection (an SLSQP of about 10 ms on ellipsoids).
+boundary projection (under a millisecond on ellipsoids).
 """
 
 from __future__ import annotations

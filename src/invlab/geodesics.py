@@ -324,12 +324,22 @@ def epsilon_certificate(
     deficits = sub_lengths - dists
     worst = int(np.argmax(deficits))
     raw = float(deficits[worst])
-    if raw < -1e-6 * (1.0 + float(cumulative[-1])):
-        # quadrature can undercut a distance by its own error, never by this much
-        raise ValueError(
-            "distance oracle exceeds sub-curve lengths; the oracle is inconsistent "
-            "with the density"
+    slack = 1e-6 * (1.0 + float(cumulative[-1]))
+    if raw < -slack:
+        # the two-point rule can undercut a long segment by more than the slack:
+        # measure again with every segment halved, and blame the oracle only if
+        # it still exceeds those lengths by more than the slack plus the change
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        halves = _segment_lengths(
+            density, np.concatenate([nodes[:-1], mids]), np.concatenate([mids, nodes[1:]])
         )
+        halved = np.concatenate([[0.0], np.cumsum(halves[: k - 1] + halves[k - 1 :])])
+        sub_halved = halved[pairs[:, 1]] - halved[pairs[:, 0]]
+        if np.any(sub_halved - dists < -(slack + np.abs(sub_halved - sub_lengths))):
+            raise ValueError(
+                "distance oracle exceeds sub-curve lengths; the oracle is inconsistent "
+                "with the density"
+            )
     return EpsilonCertificate(
         max(raw, 0.0), (int(pairs[worst, 0]), int(pairs[worst, 1]))
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -246,8 +246,8 @@ def contains(domain: Domain, z: PointLike) -> bool:
 
 
 def _contains(domain: Domain, coords: np.ndarray) -> bool:
-    # an ellipsoid's boundary distance is an SLSQP projection, and products and
-    # caps may hold one, so these three test membership directly
+    # an ellipsoid's boundary distance is a projection, and products and caps
+    # may hold one, so these three test membership directly
     if isinstance(domain, Product):
         return all(_contains(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
     if isinstance(domain, BallIntersection):
@@ -307,53 +307,126 @@ def _signed(domain: Domain, coords: np.ndarray) -> float:
     raise UnsupportedDomainError(f"unknown domain {domain!r}")
 
 
+# where each monotone piece of the KKT multiplier is sampled, as a fraction of
+# the piece: geometric towards its start, where a point near the boundary puts
+# its root (down to 1e-300 for a piece from s = 0), then uniform
+_PIECE_GRID = np.concatenate(
+    [np.geomspace(1e-300, 1e-17, 30), np.geomspace(1e-16, 1e-2, 15), np.linspace(0.02, 1.0, 50)]
+)
+_ZERO, _FREE_BUDGET = "zero", "free budget"  # the branches that are no piece
+
+
 def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
-    """Distance to the complement of a Reinhardt ellipsoid.
+    """Distance to the complement of a Reinhardt ellipsoid, by an exact projection.
 
     Rotation invariance in each coordinate puts the nearest boundary point at
-    the same phases as z, so the problem drops to the moduli orthant:
-    minimize |x - s| over s >= 0 with sum s_j^(2 p_j) = 1.  This is a
-    multi-start SLSQP (radial start plus one per corner) of about 10 ms a call.
+    the same phases as z, so the problem drops to the moduli orthant: minimize
+    |s - x| over s >= 0 with sum s_j^(2 p_j) = 1, and as the moduli of the
+    complement form an upper set, s >= x.  A minimizer is an axis exit or solves the KKT system
+    s_j - x_j = lam * 2 p_j s_j^(2 p_j - 1) with one lam > 0.  On [x_j, 1]
+    the multiplier L_j(s) = (s - x_j) / (2 p_j s^(2 p_j - 1)) is monotone, or
+    rises then falls (p_j > 1, x_j > 0), so each lam has at most two
+    preimages per coordinate; x_j = 0 with p_j > 1/2 adds the branch s_j = 0,
+    and p_j = 1 with x_j = 0 is L_j = 1/2 throughout, where s_j takes whatever
+    budget the others leave.  Every combination of branches is sampled on a
+    merged lam grid, each sign change of sum s_j^(2 p_j) - 1 is polished by
+    Newton's method on the KKT system, and the least distance wins.
     """
     p = np.asarray(domain.exponents, dtype=float)
     x = np.abs(coords)
     if len(p) == 1:
         return 1.0 - x[0]  # any single-exponent ellipsoid is the unit disc
-    from scipy.optimize import minimize
-
-    def level(s):
-        return float(np.sum(s ** (2 * p)))
-
-    # radial start: scale x out to the surface (x = 0 starts from a corner)
-    if np.all(x < 1e-14):
-        s0 = np.zeros_like(x)
-        s0[0] = 1.0
-    else:
-        from scipy.optimize import brentq
-
-        g = lambda t: level(np.maximum(x, 1e-300) / t) - 1.0
-        t0 = brentq(g, 1e-12, 1.0, xtol=1e-15)
-        s0 = x / t0
-    starts = [s0]
-    for j in range(len(x)):  # corners, in case the radial start is a poor basin
-        e = np.zeros_like(x)
-        e[j] = 1.0
-        starts.append(e)
-    best = math.inf
-    for s in starts:
-        res = minimize(
-            lambda s_: float(np.sum((x - s_) ** 2)),
-            s,
-            method="SLSQP",
-            bounds=[(0.0, None)] * len(x),
-            constraints=[{"type": "eq", "fun": lambda s_: level(s_) - 1.0}],
-            options={"ftol": 1e-14, "maxiter": 200},
-        )
-        if res.success:
-            best = min(best, math.sqrt(max(res.fun, 0.0)))
-    if not math.isfinite(best):
-        raise RuntimeError("ellipsoid boundary projection failed to converge")
+    # delta is 1-Lipschitz in the moduli, so moduli below 1e-16 count as 0: for
+    # p_j = 1 the multiplier of such a modulus is 1/2 to the last bit anyway
+    x = np.where(x < 1e-16, 0.0, x)
+    level = x ** (2 * p)
+    best = float(np.min((1.0 - (level.sum() - level)) ** (0.5 / p) - x))  # axis exits
+    branches = []
+    for xj, pj in zip(x, p):
+        if xj == 0.0 and pj == 1.0:
+            branches.append([_ZERO, _FREE_BUDGET])
+            continue
+        fold = (2 * pj - 1) * xj / (2 * pj - 2) if pj > 1.0 else math.inf
+        ends = [xj, fold, 1.0] if xj < fold < 1.0 else [xj, 1.0]
+        pieces = [_ZERO] if xj == 0.0 and pj > 0.5 else []
+        for a, b in zip(ends, ends[1:]):  # (log lam, s) samples, sorted by lam
+            s = a + (b - a) * _PIECE_GRID
+            with np.errstate(all="ignore"):  # s^(2 p_j - 1) may under- or overflow
+                lam = (s - xj) / (2 * pj * s ** (2 * pj - 1))
+            keep = np.isfinite(lam) & (lam > 0.0)
+            order = np.argsort(lam[keep])
+            loglam, s = np.log(lam[keep][order]), s[keep][order]
+            if a == xj > 0.0:  # lam -> 0 as s -> x_j, below the samples' rounding
+                loglam, s = np.append(-800.0, loglam), np.append(xj, s)
+            pieces.append((loglam, s))
+        branches.append(pieces)
+    starts, fixed, lam_fixed = [], [], []
+    for combo in product(*branches):
+        free = [j for j, b in enumerate(combo) if not isinstance(b, str)]
+        budget = _FREE_BUDGET in combo  # lam = 1/2, the budget fixes no root
+        if not (free or budget):
+            continue  # every modulus 0 is no boundary point
+        if budget:
+            grid = np.array([math.log(0.5)])
+        else:
+            grid = np.unique(np.concatenate([combo[j][0] for j in free]))
+        lo = max((combo[j][0][0] for j in free), default=-math.inf)
+        hi = min((combo[j][0][-1] for j in free), default=math.inf)
+        grid = grid[(lo <= grid) & (grid <= hi)]
+        S = np.zeros((len(grid), len(p)))
+        for j in free:
+            S[:, j] = np.interp(grid, *combo[j])
+        if not budget:
+            # bracket sign changes of the constraint and start in between, from
+            # both ends' moduli: a piece nearly flat in lam (p_j near 1, x_j
+            # near 0) then starts where the constraint puts it
+            G = np.sum(S ** (2 * p), axis=1) - 1.0
+            i = np.flatnonzero(G[:-1] * G[1:] <= 0.0)
+            t = G[i] / np.where(G[i] == G[i + 1], 1.0, G[i] - G[i + 1])
+            grid = grid[i] + t * (grid[i + 1] - grid[i])
+            S = S[i] + t[:, None] * (S[i + 1] - S[i])
+        starts += [np.append(row, math.exp(g)) for row, g in zip(S, grid)]
+        fixed += [[isinstance(b, str) for b in combo]] * len(grid)
+        lam_fixed += [budget] * len(grid)
+    if starts:
+        s, budget = _kkt_polish(x, p, np.array(starts), np.array(fixed), np.array(lam_fixed))
+        d2 = np.sum((s - x) ** 2, axis=1) + budget
+        if np.any(np.isfinite(d2)):
+            best = min(best, math.sqrt(float(np.nanmin(d2))))
     return best
+
+
+def _kkt_polish(x, p, start, fixed, lam_fixed):
+    """Newton's method on F_j = s_j - x_j - lam g_j, F_n = sum s_j^(2 p_j) - 1,
+    with g_j = 2 p_j s_j^(2 p_j - 1), from each row of ``start`` = (s, lam).
+
+    Coordinates marked ``fixed`` stay 0, and rows with ``lam_fixed`` keep lam
+    and drop F_n, their fixed coordinates taking the budget the others leave.
+    The Jacobian is an arrowhead, diag(a) bordered by -g and g, so each step is
+    solved in closed form.  Returns (s, budget) with NaN rows of s for starts
+    that did not reach a point with s >= 0 on the boundary.
+    """
+    s, lam = start[:, :-1].copy(), start[:, -1].copy()
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            t = np.where(fixed, 1.0, s)  # keeps 0 ** negative off fixed coordinates
+            g = np.where(fixed, 0.0, 2 * p * t ** (2 * p - 1))
+            F = np.where(fixed, 0.0, s - x - lam[:, None] * g)
+            a = np.where(fixed, 1.0, 1.0 - lam[:, None] * g * (2 * p - 1) / t)
+            Fn = np.sum(s ** (2 * p), axis=1) - 1.0
+            dlam = np.where(lam_fixed, 0.0, (np.sum(g * F / a, axis=1) - Fn) / np.sum(g * g / a, axis=1))
+            ds = (g * dlam[:, None] - F) / a
+            s, lam = s + ds, lam + dlam
+            if not np.any(np.abs(ds) > 1e-15):  # s <= 1: the next step is rounding
+                break
+        budget = np.where(lam_fixed, 1.0 - np.sum(s ** (2 * p), axis=1), 0.0)
+        ok = (
+            np.all(fixed | (s > 0.0), axis=1)
+            & (lam > 0.0)
+            & np.where(lam_fixed, budget >= -1e-13, np.abs(np.sum(s ** (2 * p), axis=1) - 1.0) <= 1e-13)
+        )
+    s[~ok] = np.nan
+    return s, np.maximum(budget, 0.0)
 
 
 def _cap_nonempty(base: Domain, center: ComplexPoint, radius: float) -> bool:

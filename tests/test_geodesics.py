@@ -108,9 +108,25 @@ def test_epsilon_certificate_examples():
 
 def test_epsilon_certificate_flags_bad_oracle():
     curve, _ = minimize_curve(DISC, -0.5, 0.5)
-    bad = lambda Z, W: distance_batch(UnitDisc())(Z, W) + 1.0
-    with pytest.raises(ValueError):
-        epsilon_certificate(curve, DISC, bad)
+    for off in (1.0, 1e-3):
+        bad = lambda Z, W: distance_batch(UnitDisc())(Z, W) + off
+        with pytest.raises(ValueError):
+            epsilon_certificate(curve, DISC, bad)
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+def test_epsilon_certificate_accepts_an_exact_oracle_on_three_nodes(levels):
+    # on three nodes every two-point sub-curve length falls short of the exact
+    # distance, by at least 4.5e-4, more than the fixed slack; halving the
+    # segments shows that the oracle is right
+    config = SolverConfig(node_count=3, refinement_levels=levels)
+    curve, _ = minimize_curve(DISC, -0.5, 0.5, config)
+    cert = epsilon_certificate(curve, DISC, distance_batch(UnitDisc()))
+    assert cert.epsilon == 0.0
+    for off in (1.0, 1e-3):
+        bad = lambda Z, W: distance_batch(UnitDisc())(Z, W) + off
+        with pytest.raises(ValueError):
+            epsilon_certificate(curve, DISC, bad)
 
 
 def test_excursion_radius():

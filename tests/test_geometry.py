@@ -285,10 +285,121 @@ def test_ellipsoid_single_exponent_is_disc():
 
 def test_ellipsoid_matches_ball_when_exponents_are_one():
     dom = ReinhardtEllipsoid((1.0, 1.0))
-    for z in ((0.3, 0.4j), (0.1 + 0.1j, -0.2)):
+    for z in ((0.3, 0.4j), (0.1 + 0.1j, -0.2), (0.0, 0.5j), (0j, 0j)):
         got = boundary_distance(dom, z)
         exact = 1.0 - float(np.linalg.norm(np.asarray(z, dtype=complex)))
-        assert got == pytest.approx(exact, abs=1e-7)
+        assert got == pytest.approx(exact, abs=1e-14)
+
+
+def _arc_distances(p, x, i, u):
+    """|s - x| along the boundary arc s >= x, with s_i = x_i + (top - x_i) u and
+    the other modulus solved (log1p keeps it exact next to the corners)."""
+    k = 1 - i
+    top = math.exp(math.log1p(-(x[k] ** (2 * p[k]))) / (2 * p[i]))
+    si = x[i] + (top - x[i]) * u
+    sk = np.exp(np.log1p(-np.minimum(si ** (2 * p[i]), 1.0)) / (2 * p[k]))
+    return np.hypot(si - x[i], sk - x[k])
+
+
+def _sampled_ellipsoid_delta2(p, x, m=50001):
+    """Least |s - x| over dense samples of the boundary curve, parametrized by
+    each modulus in turn (geometric towards s = x, then uniform), zoomed twice
+    around the best sample."""
+    best = math.inf
+    base = np.unique(np.concatenate([[0.0], np.geomspace(1e-16, 1.0, m), np.linspace(0.0, 1.0, m)]))
+    for i in (0, 1):
+        u = base
+        with np.errstate(divide="ignore"):
+            for _ in range(3):
+                d = _arc_distances(p, x, i, u)
+                j = int(np.argmin(d))
+                best = min(best, float(d[j]))
+                u = np.linspace(u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)], 2001)
+    return best
+
+
+def _sampled_ellipsoid_delta3(p, x, m=300):
+    """Least |s - x| over grids of the boundary surface s >= x: two moduli on a
+    grid (geometric towards x, then uniform), the third solved, each of the
+    three choices zoomed three times around its best point."""
+    best = math.inf
+    base = np.unique(np.concatenate([[0.0], np.geomspace(1e-12, 1.0, m // 2), np.linspace(0.0, 1.0, m)]))
+    for k in range(3):
+        i, j = [c for c in range(3) if c != k]
+        ui = uj = base
+        for _ in range(4):
+            si = x[i] + (1 - x[i]) * ui[:, None]
+            sj = x[j] + (1 - x[j]) * uj[None, :]
+            rest = 1.0 - si ** (2 * p[i]) - sj ** (2 * p[j])
+            inside = rest >= x[k] ** (2 * p[k])
+            sk = np.where(inside, np.maximum(rest, 0.0), 0.0) ** (1 / (2 * p[k]))
+            d = np.where(inside, np.sqrt((si - x[i]) ** 2 + (sj - x[j]) ** 2 + (sk - x[k]) ** 2), math.inf)
+            a, b = np.unravel_index(np.argmin(d), d.shape)
+            best = min(best, float(d[a, b]))
+            ui = np.linspace(ui[max(a - 1, 0)], ui[min(a + 1, len(ui) - 1)], 101)
+            uj = np.linspace(uj[max(b - 1, 0)], uj[min(b + 1, len(uj) - 1)], 101)
+    return best
+
+
+def _moduli_at_level(p, direction, level):
+    """The point t * direction with sum (t d_j)^(2 p_j) = level <= 1, by bisection."""
+    d = np.asarray(direction, dtype=float)
+    if not d.any():
+        return d
+    d = d / d.max()  # so t = 1 is at or past the level
+    f = lambda t: float(np.sum((t * d) ** (2 * np.asarray(p))))
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if f(mid) < level else (lo, mid)
+    return lo * d
+
+
+_EXPONENT = st.one_of(st.sampled_from([0.3, 0.5, 1.0, 2.0, 4.0]), st.floats(0.3, 4.0))
+_MODULUS = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+# the level sum |z_j|^(2 p_j) of the point: anywhere, or within 1e-12 .. 1e-2 of 1
+_LEVEL = st.one_of(
+    st.floats(0.0, 0.999), st.floats(2.0, 12.0).map(lambda k: 1.0 - 10.0**-k)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.tuples(_EXPONENT, _EXPONENT),
+    direction=st.tuples(_MODULUS, _MODULUS),
+    level=_LEVEL,
+    phases=st.tuples(st.floats(-3.2, 3.2), st.floats(-3.2, 3.2)),
+)
+def test_ellipsoid_projection_matches_dense_sampling(p, direction, level, phases):
+    x = _moduli_at_level(p, direction, level)
+    z = x * np.exp(1j * np.asarray(phases))
+    assume(contains(ReinhardtEllipsoid(p), z))
+    got = boundary_distance(ReinhardtEllipsoid(p), z)
+    assert got == pytest.approx(_sampled_ellipsoid_delta2(p, x), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "p, direction, level",
+    [
+        ((0.75, 1.5, 3.0), (0.3, 0.5, 0.4), 0.6),
+        ((4.0, 0.3, 3.5), (0.1, 1.0, 0.3), 0.01),  # a tiny modulus under p = 4
+        ((1.0, 2.0, 0.7), (0.0, 0.4, 0.2), 0.5),  # p = 1 with a zero modulus
+        ((1.0, 1.0, 2.5), (0.0, 0.0, 1.0), 0.3),
+        ((0.3, 0.5, 4.0), (1.0, 0.0, 1.0), 1.0 - 1e-9),
+        ((2.0, 3.0, 1.5), (1.0, 1.0, 1.0), 1.0 - 1e-3),
+        ((0.4, 2.0, 2.0), (0.0, 0.0, 0.0), 0.0),
+    ],
+)
+def test_ellipsoid_projection_matches_a_grid_in_three_dimensions(p, direction, level):
+    x = _moduli_at_level(p, direction, level)
+    got = boundary_distance(ReinhardtEllipsoid(p), x)
+    assert got == pytest.approx(_sampled_ellipsoid_delta3(p, x), abs=1e-14)
+
+
+def test_ellipsoid_projection_where_a_multistart_slsqp_failed():
+    # an SLSQP started from a zero modulus under p < 1/2, where the constraint's
+    # gradient is infinite, returned 0.99999572 here
+    got = boundary_distance(ReinhardtEllipsoid((4.0, 0.3)), (0.2, 0.0))
+    assert got == pytest.approx(0.7674712936391594, abs=1e-12)
 
 
 def test_ellipsoid_membership_and_positivity():

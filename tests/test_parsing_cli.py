@@ -365,6 +365,10 @@ def test_cli_geodesic_node_flags(tmp_path, capsys):
     # the deepest refinement starts from the bare chord: 4 >> 2 = 1 segment
     assert cli.run_command(argv + ["--nodes", "5", "--levels", "2", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["nodes"]) == 5
+    # the exact chord on three nodes, where the two-point rule undercuts the oracle
+    for levels in ("0", "1"):
+        assert cli.run_command(argv + ["--nodes", "3", "--levels", levels, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["nodes"]) == 3
 
 
 GEODESIC = ["geodesic", "--domain", "disc", "--z", "-0.5", "--w", "0.5"]
@@ -479,18 +483,24 @@ def test_disc_ball_and_polydisc_bergman_load_no_scipy():
 
 
 def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
-    # the reach screen settles interior points without the SLSQP projection;
-    # the Beta moments still load scipy.special; membership in a product or a
-    # cap over the ellipsoid never asks for its boundary distance either
+    # the ellipsoid's boundary projection is numpy alone, and so is membership
+    # in a product or a cap over the ellipsoid; the Beta moments still load
+    # scipy.special
     src = os.path.dirname(os.path.dirname(invlab.__file__))
     code = (
         "import sys\n"
         "from invlab.bergman import bergman_metric_numeric\n"
         "from invlab.geometry import (\n"
-        "    HalfPlane, Product, ReinhardtEllipsoid, contains, intersect_with_ball\n"
+        "    HalfPlane, Product, ReinhardtEllipsoid, boundary_distance, contains,\n"
+        "    intersect_with_ball\n"
         ")\n"
         "e = ReinhardtEllipsoid((1.0, 2.0))\n"
         "bergman_metric_numeric(e, (0.3, 0.2j), (1.0, 0.5), 20, 1e-3)\n"
+        "assert 0.0 < boundary_distance(e, (0.3, 0.2j)) < 1.0\n"
+        "assert 0.0 < boundary_distance(ReinhardtEllipsoid((0.75, 1.5, 3.0)), (0.1, 0j, 0.5j)) < 1.0\n"
+        "# reach 0.2 against delta 0.3: the screen's point (1.1, 0.4) is outside, so\n"
+        "# the reach check takes the projection\n"
+        "assert bergman_metric_numeric(e, (0.7, 0.0), (1.0, 0.0), 20, 0.1) > 0.0\n"
         "prod = Product((e, HalfPlane()))\n"
         "assert contains(prod, (0.3, 0.2j, 1j))\n"
         "assert not contains(prod, (0.3, 0.2j, -1j))\n"
