@@ -4,10 +4,11 @@ On a Reinhardt domain the monomials are orthogonal in the square-integrable
 holomorphic space, so the kernel on the diagonal is the lacunary series
 sum over alpha of |z^alpha|^2 / moment(alpha), with
 moment(alpha) = integral over the domain of |z^alpha|^2 dV.  Moments come in
-closed form (factorials and powers for discs, polydiscs and balls; one Beta
-function per radial factor for ellipsoids, from scipy.special, the only scipy
-this module loads), and a table is one array-mode ``monomial_moment`` call over
-all its multi-indices.
+closed form from ``math`` alone (factorials and powers for discs, polydiscs and
+balls; Dirichlet's Gamma form for ellipsoids, through lgamma where Gamma would
+leave the double range), and a table is one array-mode ``monomial_moment``
+call over a multi-index grid that every table of that dimension and degree
+shares.
 
 The metric is the square root of the log-kernel complex Hessian quadratic
 form, evaluated by second-order central differences in the X and iX
@@ -48,7 +49,9 @@ from .geometry import (
 def _whole(values, what: str) -> np.ndarray:
     """values as int64, refusing anything that is not a whole number."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "f" or not np.all(np.isfinite(arr) & (arr == np.round(arr))):
         raise ValueError(f"{what} must be whole numbers, got {values!r}")
     return arr.astype(np.int64)
 
@@ -72,6 +75,50 @@ def monomial_moment(domain: Domain, alpha) -> float | np.ndarray:
     return out if np.ndim(alpha) == 2 else float(out[0])
 
 
+# Gamma overflows a double at 171.62; a row whose 1 + sum a_j reaches this
+# goes through lgamma, the others keep Gamma's smaller rounding error
+GAMMA_EDGE = 171.0
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)])  # 0! ... 170!
+
+
+def _gamma(x: np.ndarray) -> np.ndarray:
+    """Gamma at each 0 < x < GAMMA_EDGE; at a whole number the factorial
+    rounded once, where math.gamma can be a few ulps off."""
+    out = np.array(list(map(math.gamma, x.tolist())))
+    whole = x == np.floor(x)
+    out[whole] = _FACTORIALS[x[whole].astype(np.int64) - 1]
+    return out
+
+
+def _ellipsoid_moments(p: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
+    """prod_j (pi / p_j) Gamma(a_j) / Gamma(1 + sum_j a_j) with a_j = (alpha_j + 1) / p_j:
+    t_j = |z_j|^(2 p_j) maps the ellipsoid onto the simplex, where this is
+    Dirichlet's integral.  Gamma and lgamma are taken once per distinct a_j,
+    the top one once per row."""
+    a = [np.arange(1, col.max() + 2) / pj for col, pj in zip(rows.T, p)]
+    top = 1.0 + sum(aj[col] for aj, col in zip(a, rows.T))
+    scale = [math.pi / pj for pj in p]
+    out = np.empty(len(rows))
+    low = top < GAMMA_EDGE
+    if low.any():
+        # a_j < 1 + sum a_j < GAMMA_EDGE on these rows: a prefix of each table
+        gam = [_gamma(aj[aj < GAMMA_EDGE]) for aj in a]
+        part = rows[low]
+        # dividing by the top Gamma first keeps every partial product in range
+        value = gam[0][part[:, 0]] / _gamma(top[low])
+        for j in range(1, len(p)):
+            value = value * gam[j][part[:, j]]
+        for s in scale:
+            value = value * s
+        out[low] = value
+    if not low.all():
+        lgam = [np.array([math.lgamma(x) for x in aj.tolist()]) for aj in a]
+        log = sum(lg[col] for lg, col in zip(lgam, rows[~low].T))
+        log = log - np.array([math.lgamma(t) for t in top[~low].tolist()]) + math.log(math.prod(scale))
+        out[~low] = [math.exp(x) for x in log.tolist()]
+    return out
+
+
 def _moments(domain: Domain, rows: np.ndarray) -> np.ndarray:
     if isinstance(domain, UnitDisc):
         out = math.pi / (rows[:, 0] + 1)
@@ -88,15 +135,7 @@ def _moments(domain: Domain, rows: np.ndarray) -> np.ndarray:
             out = out * fact[a]
         out = out / fact[n + total]
     elif isinstance(domain, ReinhardtEllipsoid):
-        # peel coordinates off one radial integral at a time, int_0^1 rho^(2a+1)
-        # (1 - rho^(2p))^s d rho = B((a+1)/p, s+1) / (2p) (Gamma overflows past 171.6)
-        from scipy.special import beta
-
-        p = domain.exponents
-        out = (2.0 * math.pi) ** len(p)
-        for j in range(len(p)):
-            s = sum((rows[:, k] + 1) / p[k] for k in range(j + 1, len(p)))
-            out = out * (beta((rows[:, j] + 1) / p[j], s + 1.0) / (2.0 * p[j]))
+        out = _ellipsoid_moments(domain.exponents, rows)
     else:
         raise UnsupportedDomainError(
             f"{type(domain).__name__} is not a Reinhardt catalog member"
@@ -118,6 +157,20 @@ class MomentTable:
 
 
 @lru_cache(maxsize=64)
+def _multi_indices(n: int, N: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+    """Every multi-index of n coordinates with |alpha| <= N, ordered by
+    (|alpha|, alpha): the int grid, its tuple keys, its float copy and its
+    degrees, read-only and shared by every table of that (n, N)."""
+    grid = np.indices((N + 1,) * n).reshape(n, -1).T
+    grid = grid[grid.sum(axis=1) <= N]
+    grid = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))]
+    arrays = (grid, grid.astype(float), grid.sum(axis=1))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0], tuple(map(tuple, grid.tolist())), arrays[1], arrays[2]
+
+
+@lru_cache(maxsize=64)
 def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
     """Every moment with |alpha| <= N, ordered by (|alpha|, alpha), from one
     array-mode ``monomial_moment`` call; ValueError unless N is a whole number
@@ -125,13 +178,9 @@ def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
     N = int(_whole(truncation_degree, "truncation degree"))
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
-    n = dimension(domain)
-    grid = np.indices((N + 1,) * n).reshape(n, -1).T
-    grid = grid[grid.sum(axis=1) <= N]
-    grid = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))]
+    grid, keys, alphas, degrees = _multi_indices(dimension(domain), N)
     values = monomial_moment(domain, grid)
-    moments = dict(zip(map(tuple, grid.tolist()), values.tolist()))
-    return MomentTable(domain, N, moments, grid.astype(float), 1.0 / values, grid.sum(axis=1))
+    return MomentTable(domain, N, dict(zip(keys, values.tolist())), alphas, 1.0 / values, degrees)
 
 
 @dataclass(frozen=True)

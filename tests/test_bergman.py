@@ -1,8 +1,11 @@
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from invlab import bergman
@@ -61,8 +64,8 @@ def _quadrature_moment(alpha, p):
 
 @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 2), (3, 1), (2, 3)])
 def test_ellipsoid_moment_against_gamma_oracle(alpha):
-    # the library's Beta product is the Gamma formula in another guise, so the
-    # independent side is quadrature
+    # the library's Dirichlet form is the Gamma formula, so the independent side
+    # is quadrature
     p = (1.0, 2.0)
     got = monomial_moment(ReinhardtEllipsoid(p), alpha)
     exact = _quadrature_moment(alpha, p)
@@ -158,6 +161,17 @@ def test_moment_table_structure():
     assert all(v > 0 for v in table.moments.values())
 
 
+def test_tables_of_one_shape_share_a_read_only_grid():
+    a = moment_table(Polydisc((0.7, 1.3)), 12)
+    b = moment_table(ReinhardtEllipsoid((1.0, 2.0)), 12)
+    assert a.alphas is b.alphas and a.degrees is b.degrees
+    assert list(a.moments) == list(b.moments)
+    with pytest.raises(ValueError, match="read-only"):
+        a.alphas[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        b.degrees[0] = 1
+
+
 def test_errors():
     with pytest.raises(UnsupportedDomainError):
         monomial_moment(HalfPlane(), 0)
@@ -188,14 +202,26 @@ def _oracle_moment(domain, alpha):
         for a in alpha:
             out *= math.factorial(a)
         return out / math.factorial(n + sum(alpha))
-    from scipy.special import beta
-
+    # Dirichlet's form prod_j (pi / p_j) Gamma(a_j) / Gamma(1 + sum a_j), a_j =
+    # (alpha_j + 1) / p_j, with Gamma at a whole number the factorial; through
+    # lgamma from 1 + sum a_j = 171 on, where Gamma nears the double's range
     p = domain.exponents
-    out = (2.0 * math.pi) ** len(alpha)
-    for j, (a, pj) in enumerate(zip(alpha, p)):
-        s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
-        out *= beta((a + 1) / pj, s + 1.0) / (2.0 * pj)
-    return float(out)
+    a = [(k + 1) / pj for k, pj in zip(alpha, p)]
+    top = 1.0 + sum(a)
+    scale = [math.pi / pj for pj in p]
+    if top >= 171.0:
+        log = sum(math.lgamma(x) for x in a) - math.lgamma(top) + math.log(math.prod(scale))
+        return math.exp(log)
+
+    def gamma(x):
+        return float(math.factorial(int(x) - 1)) if x.is_integer() else math.gamma(x)
+
+    out = gamma(a[0]) / gamma(top)
+    for x in a[1:]:
+        out *= gamma(x)
+    for s in scale:
+        out *= s
+    return out
 
 
 def _oracle_table(domain, N):
@@ -232,6 +258,9 @@ ORACLE_TABLES = [
     (ReinhardtEllipsoid((1.0, 1.0)), 20),
     (ReinhardtEllipsoid((0.5, 0.5)), 60),
     (ReinhardtEllipsoid((1.0, 2.0, 0.7)), 10),
+    # rows on both sides of 1 + sum a_j = 171
+    (ReinhardtEllipsoid((0.15, 0.3)), 30),
+    (ReinhardtEllipsoid((0.12, 2.0)), 20),
 ]
 
 
@@ -254,6 +283,68 @@ def test_array_and_scalar_moments_agree_bit_for_bit(domain, N):
         one = monomial_moment(domain, alpha)
         assert type(one) is float and one.hex() == float(value).hex()
         assert one.hex() == _oracle_moment(domain, alpha).hex()
+
+
+def _mpmath_moment(alpha, p):
+    """(2 pi)^n prod_j B((a_j + 1)/p_j, s_j + 1) / (2 p_j), s_j = sum_{k>j} (a_k + 1)/p_k,
+    at 40 digits on the exact double exponents (test oracle)."""
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(x) for x in p]
+        out = (2 * mpmath.pi) ** len(alpha)
+        for j, a in enumerate(alpha):
+            s = mpmath.fsum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
+            out *= mpmath.beta((a + 1) / p[j], s + 1) / (2 * p[j])
+        return out
+
+
+def _relative_error(got, want):
+    with mpmath.workdps(40):
+        return float(abs((mpmath.mpf(got) - want) / want))
+
+
+# each bound at or below the largest relative error of the former scipy Beta
+# product on that table
+MPMATH_TABLES = [
+    (ReinhardtEllipsoid((1.0, 2.0)), 20, 5.7e-16),
+    (ReinhardtEllipsoid((0.6, 2.7)), 20, 1.35e-14),
+    (ReinhardtEllipsoid((2.5, 1.5)), 20, 3.6e-15),
+    (ReinhardtEllipsoid((1.0, 1.0)), 20, 3.6e-16),
+    (ReinhardtEllipsoid((0.5, 0.5)), 60, 7.1e-16),
+    (ReinhardtEllipsoid((1.0, 2.0, 0.7)), 10, 5.28e-15),
+    (ReinhardtEllipsoid((0.15, 0.3)), 30, 3.9e-13),
+    (ReinhardtEllipsoid((0.12, 2.0)), 20, 1.6e-13),
+]
+
+
+@pytest.mark.parametrize("domain, N, bound", MPMATH_TABLES, ids=repr)
+def test_ellipsoid_moments_match_mpmath(domain, N, bound):
+    table = moment_table(domain, N)
+    worst = max(
+        _relative_error(m, _mpmath_moment(a, domain.exponents)) for a, m in table.moments.items()
+    )
+    assert worst <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.lists(st.floats(0.12, 4.0), min_size=1, max_size=3),
+    weights=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+    below=st.floats(0.0, 140.0),
+    above=st.floats(170.0, 340.0),
+)
+def test_ellipsoid_moments_match_mpmath_across_the_lgamma_edge(p, weights, below, above):
+    # alpha_j = floor(T w_j p_j) puts 1 + sum a_j in (1 + T, 1 + T + sum 1/p_j]:
+    # below 171 for the first row, above it for the second
+    w = np.array(weights[: len(p)]) / sum(weights[: len(p)])
+    stack = np.array([[math.floor(T * wj * pj) for wj, pj in zip(w, p)] for T in (below, above)])
+    a = (stack + 1) / np.array(p)
+    tops = 1.0 + a.sum(axis=1)
+    assert tops[0] < bergman.GAMMA_EDGE <= tops[1]
+    got = monomial_moment(ReinhardtEllipsoid(tuple(p)), stack)
+    for alpha, value, top in zip(stack.tolist(), got, tops):
+        # Gamma's condition number at a rounded argument x is about x log x
+        bound = 4 * np.finfo(float).eps * top * math.log(top + 1)
+        assert _relative_error(value, _mpmath_moment(alpha, p)) <= bound
 
 
 def test_non_integer_indices_and_degrees_are_refused():
