@@ -3,20 +3,20 @@
 On a Reinhardt domain the monomials are orthogonal in the square-integrable
 holomorphic space, so the kernel on the diagonal is the lacunary series
 sum over alpha of |z^alpha|^2 / moment(alpha), with
-moment(alpha) = integral over the domain of |z^alpha|^2 dV.  Moments come in
-closed form from ``math`` alone (factorials and powers for discs, polydiscs and
-balls; Dirichlet's Gamma form for ellipsoids, through lgamma where Gamma would
-leave the double range), and a table is one array-mode ``monomial_moment``
-call over a multi-index grid that every table of that dimension and degree
-shares.
+moment(alpha) = integral over the domain of |z^alpha|^2 dV.  Each Reinhardt
+catalog class gives its moments in closed form from ``math`` alone (factorials
+and powers for discs, polydiscs and balls; Dirichlet's Gamma form for
+ellipsoids, kept here, through lgamma where Gamma would leave the double
+range), and a table is one array-mode ``monomial_moment`` call over a
+multi-index grid that every table of that dimension and degree shares.
 
 The metric is the square root of the log-kernel complex Hessian quadratic
 form, evaluated by second-order central differences in the X and iX
 directions with step h, all five points in one series batch.  This numeric
-route is deliberately independent of the closed forms in :mod:`invlab.metrics`,
-so the two certify each other.  The point must lie 2 h |X| inside: a test on
-its moduli settles that for most points, and only the others pay for the exact
-boundary projection (under a millisecond on ellipsoids).
+route is deliberately independent of the closed-form metrics of the catalog
+classes, so the two certify each other.  The point must lie 2 h |X| inside: a
+test on its moduli settles that for most points, and only the others pay for
+the exact boundary projection (under a millisecond on ellipsoids).
 """
 
 from __future__ import annotations
@@ -29,22 +29,20 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import (
-    Ball,
+    DimensionMismatchError,
     Domain,
     MembershipError,
     PointLike,
-    Polydisc,
-    ReinhardtEllipsoid,
-    UnitDisc,
-    UnsupportedDomainError,
     VectorLike,
     _modulus,
     as_coords,
     boundary_distance,
     contains,
     dimension,
+    formula,
     member_coords,
 )
+
 
 def _whole(values, what: str) -> np.ndarray:
     """values as int64, refusing anything that is not a whole number."""
@@ -58,13 +56,17 @@ def _whole(values, what: str) -> np.ndarray:
 
 def monomial_moment(domain: Domain, alpha) -> float | np.ndarray:
     """integral over the domain of |z^alpha|^2 dV: a float for one multi-index,
-    an (m,) array of the same bits for an (m, n) stack of them; ValueError when
-    a moment leaves the double range (the multi-index is too deep)."""
+    an (m,) array of the same bits for an (m, n) stack of them (empty for an
+    empty stack); ValueError when a moment leaves the double range (the
+    multi-index is too deep)."""
     rows = np.atleast_2d(_whole(alpha, "multi-index"))
     if rows.ndim != 2 or rows.shape[1] != dimension(domain) or np.any(rows < 0):
         raise ValueError("multi-index must be nonnegative and match the dimension")
+    moments = formula(domain, "moments")
+    if not len(rows):
+        return np.empty(0)
     try:
-        out = _moments(domain, rows)
+        out = moments(rows)
     except OverflowError:  # factorials past 170!, radii > 1 raised too high
         out = math.inf
     if not np.all(np.isfinite(out) & (out > 0)):
@@ -116,30 +118,6 @@ def _ellipsoid_moments(p: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
         log = sum(lg[col] for lg, col in zip(lgam, rows[~low].T))
         log = log - np.array([math.lgamma(t) for t in top[~low].tolist()]) + math.log(math.prod(scale))
         out[~low] = [math.exp(x) for x in log.tolist()]
-    return out
-
-
-def _moments(domain: Domain, rows: np.ndarray) -> np.ndarray:
-    if isinstance(domain, UnitDisc):
-        out = math.pi / (rows[:, 0] + 1)
-    elif isinstance(domain, Polydisc):
-        out = 1.0  # factor tables by Python's float **; numpy's power rounds otherwise
-        for a, r in zip(rows.T, domain.radii):
-            factor = [math.pi * r ** (2 * k + 2) / (k + 1) for k in range(a.max() + 1)]
-            out = out * np.array(factor)[a]
-    elif isinstance(domain, Ball):
-        n, total = domain.n, rows.sum(axis=1)
-        fact = np.array([float(math.factorial(k)) for k in range(n + total.max() + 1)])
-        out = math.pi**n
-        for a in rows.T:
-            out = out * fact[a]
-        out = out / fact[n + total]
-    elif isinstance(domain, ReinhardtEllipsoid):
-        out = _ellipsoid_moments(domain.exponents, rows)
-    else:
-        raise UnsupportedDomainError(
-            f"{type(domain).__name__} is not a Reinhardt catalog member"
-        )
     return out
 
 
@@ -239,7 +217,7 @@ def bergman_metric_numeric(
     coords = as_coords(z)
     vec = as_coords(X)
     if len(coords) != len(vec):
-        raise MembershipError("point and vector dimensions differ")
+        raise DimensionMismatchError("point and vector dimensions differ")
     member_coords(domain, coords)
     table = moment_table(domain, N)
     if not vec.any():

@@ -93,7 +93,7 @@ def _geodesic_oracle(domain: Domain, metric: str):
     """Distance oracle matching the chosen metric, or None when unavailable."""
     if metric == "kobayashi":
         return distances.distance_batch(domain)
-    scale = metrics.bergman_over_kobayashi(domain)
+    scale = domain.bergman_over_kobayashi
     if scale is None:
         return None
     if metric == "nbergman":

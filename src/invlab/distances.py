@@ -39,17 +39,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    Ball,
     Domain,
     HalfDiscScaled,
     HalfPlane,
     PointLike,
-    Polydisc,
-    Product,
-    UnitDisc,
-    UnsupportedDomainError,
     _modulus,
-    max_over_factors,
+    formula,
     member_coords,
 )
 
@@ -196,31 +191,9 @@ def polydisc_distance_batch(Z, W, radii):
     return np.max(per, axis=1)
 
 
-def _first_coordinate(planar):
-    """Lift a planar batch distance (z, w) -> (m,) to (m, 1) coordinate arrays."""
-    return lambda Z, W: planar(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
-
-
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Batch distance evaluator for a catalog domain, (m,n)x(m,n) -> (m,)."""
-    if isinstance(domain, UnitDisc) or domain == Ball(1):
-        # Ball(1) is the disc, whose form has no projection w - Pw to cancel
-        return _first_coordinate(disc_distance_batch)
-    if isinstance(domain, HalfPlane):
-        return _first_coordinate(halfplane_distance_batch)
-    if isinstance(domain, HalfDiscScaled):
-        r = domain.radius
-        return _first_coordinate(lambda z, w: halfdisc_distance_batch(z, w, r))
-    if isinstance(domain, Ball):
-        return ball_distance_batch
-    if isinstance(domain, Polydisc):
-        radii = domain.radii
-        return lambda Z, W: polydisc_distance_batch(Z, W, radii)
-    if isinstance(domain, Product):
-        return max_over_factors(domain, distance_batch)
-    raise UnsupportedDomainError(
-        f"no closed-form distance for {type(domain).__name__}"
-    )
+    return formula(domain, "distance")
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Model domains in C^n: membership, Euclidean boundary distance, ball caps.
+"""Model domains in C^n: the catalog, membership, Euclidean boundary distance,
+ball caps, and each member's closed forms.
 
 The catalog is deliberately small.  Every member either carries closed-form
 invariant metrics (disc, half-plane, scaled half-disc, ball, polydisc,
@@ -7,6 +8,14 @@ ellipsoids).  Domains are open: boundary points are never members, and
 operations that need an interior point reject non-members with
 ``MembershipError`` instead of returning limiting values, because every
 quantity built on top of the catalog blows up at the boundary.
+
+Each member is a subclass of ``Domain`` and answers every per-domain question
+in its own body: its dimension, signed boundary distance, scalar and batch
+membership and cap nonemptiness always, and its closed forms where the catalog
+has one (batch distance, Kobayashi density, Bergman metric, monomial moments,
+seeded sampler, the ratio of the two metrics).  ``formula`` looks a closed form
+up and refuses a member without one; the public entry points here and in
+``distances``, ``metrics``, ``bergman`` and ``sampling`` are such lookups.
 
 One signed boundary distance answers three questions: it is the distance to
 the complement for a member and minus the distance to the closure otherwise,
@@ -79,146 +88,6 @@ def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
     return np.asarray([complex(c) for c in z], dtype=complex)
 
 
-# --------------------------------------------------------------------------
-# Domain descriptors
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitDisc:
-    """The open unit disc in C."""
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """The open upper half-plane Im z > 0."""
-
-
-@dataclass(frozen=True)
-class HalfDiscScaled:
-    """Upper half-plane cut with the disc of radius r centered at 0, 0 < r <= 1."""
-
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.radius <= 1.0):
-            raise ValueError("half-disc radius must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Ball:
-    """The open Euclidean unit ball of C^n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ball dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class Polydisc:
-    """Product of discs of the given finite positive radii."""
-
-    radii: tuple[float, ...]
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if len(radii) < 1 or not all(0.0 < r < math.inf for r in radii):
-            raise ValueError("polydisc radii must be finite and positive")
-        object.__setattr__(self, "radii", radii)
-
-
-@dataclass(frozen=True)
-class Product:
-    """Cartesian product of catalog domains; coordinates split factor by factor."""
-
-    factors: tuple["Domain", ...]
-    # coordinate slice of each factor; derived, so kept out of ==, hash and repr
-    # (moment tables and other caches key on the domain)
-    slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise ValueError("a product needs at least one factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
-        stops = tuple(accumulate(dimension(f) for f in self.factors))
-        object.__setattr__(self, "slices", tuple(map(slice, (0,) + stops[:-1], stops)))
-
-
-@dataclass(frozen=True)
-class BallIntersection:
-    """A base domain cut with an open Euclidean ball (a "cap")."""
-
-    base: "Domain"
-    center: ComplexPoint
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError("cap radius must be finite and positive")
-        if self.center.dim != dimension(self.base):
-            raise DimensionMismatchError("cap center has wrong dimension")
-        if not _cap_nonempty(self.base, self.center, self.radius):
-            raise EmptyIntersectionError("ball cap has empty interior")
-
-
-@dataclass(frozen=True)
-class ReinhardtEllipsoid:
-    """The Reinhardt domain sum_j |z_j|^(2 p_j) < 1 with finite positive exponents."""
-
-    exponents: tuple[float, ...]
-
-    def __post_init__(self):
-        exps = tuple(float(p) for p in self.exponents)
-        if len(exps) < 1 or not all(0.0 < p < math.inf for p in exps):
-            raise ValueError("ellipsoid exponents must be finite and positive")
-        object.__setattr__(self, "exponents", exps)
-
-
-Domain = Union[
-    UnitDisc,
-    HalfPlane,
-    HalfDiscScaled,
-    Ball,
-    Polydisc,
-    Product,
-    BallIntersection,
-    ReinhardtEllipsoid,
-]
-
-
-def dimension(domain: Domain) -> int:
-    if isinstance(domain, (UnitDisc, HalfPlane, HalfDiscScaled)):
-        return 1
-    if isinstance(domain, Ball):
-        return domain.n
-    if isinstance(domain, Polydisc):
-        return len(domain.radii)
-    if isinstance(domain, Product):
-        return domain.slices[-1].stop
-    if isinstance(domain, BallIntersection):
-        return dimension(domain.base)
-    if isinstance(domain, ReinhardtEllipsoid):
-        return len(domain.exponents)
-    raise UnsupportedDomainError(f"unknown domain {domain!r}")
-
-
-def max_over_factors(domain: Product, factor_core: Callable) -> Callable:
-    """Batch core (Z, X) -> (m,) of a product: the max over its factors of
-    ``factor_core(factor)`` on that factor's coordinate slice.
-
-    The distance and the Kobayashi density of a product are both this max.
-    """
-    parts = [(factor_core(f), s) for f, s in zip(domain.factors, domain.slices)]
-
-    def core(Z, X):
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        X = np.atleast_2d(np.asarray(X, dtype=complex))
-        return np.max(np.stack([c(Z[:, s], X[:, s]) for c, s in parts]), axis=0)
-
-    return core
-
-
 def _norm(Z: np.ndarray) -> np.ndarray:
     """Norm over the last axis, with the same operations for a point and for each
     row of a batch (``np.linalg.norm`` sums a vector and matrix rows differently)."""
@@ -231,56 +100,151 @@ def _modulus(Z: np.ndarray) -> np.ndarray:
     return np.hypot(Z.real, Z.imag)
 
 
-def _check_dim(domain: Domain, coords: np.ndarray) -> None:
-    if len(coords) != dimension(domain):
-        raise DimensionMismatchError(
-            f"point has dimension {len(coords)}, domain has {dimension(domain)}"
+NEAR = 2.0**-49  # 8 eps: closer to the boundary, complements are recomputed
+
+
+def _complement(r2: np.ndarray, Z: np.ndarray, modulus: Callable, radius=1.0) -> np.ndarray:
+    """radius^2 - r2 (numpy's |z|^2), positive exactly where ``contains_batch`` accepts:
+    within 8 eps of the boundary it is (radius - m)(radius + m), m = modulus(Z)."""
+    s = radius**2 - r2
+    near = np.abs(s) <= NEAR * radius**2
+    if near.any():
+        r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
+        s[near] = (r - m) * (r + m)
+    return s
+
+
+def _masked(vals: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Density values with +inf at the rows outside the domain."""
+    vals = np.asarray(vals, dtype=float)
+    return np.where(inside, vals, math.inf)
+
+
+# --------------------------------------------------------------------------
+# Domain descriptors
+# --------------------------------------------------------------------------
+
+class Domain:
+    """A catalog member: ``dim``, ``signed``, ``contains``, ``contains_rows`` and
+    ``cap_nonempty`` on every member; where the catalog has them, the batch
+    cores ``distance(Z, W)``, ``kobayashi(Z, X)`` and ``bergman(Z, X)`` (+inf at
+    rows outside), ``moments(rows)``, ``sample(seed, count, shrink)``, and
+    ``bergman_over_kobayashi``, the ratio of the two metrics where it is
+    constant (None elsewhere)."""
+
+    bergman_over_kobayashi = None
+
+    def contains(self, coords: np.ndarray) -> bool:
+        """True iff the point (coordinates of the right length) is a member."""
+        return self.signed(coords) > 0.0
+
+    def cap_nonempty(self, coords: np.ndarray, radius: float) -> bool:
+        """True iff the open ball B(coords, radius) meets the domain."""
+        return -self.signed(coords) < radius
+
+    def cap(self, center: ComplexPoint, radius: float) -> Domain:
+        """The domain cut with the open ball B(center, radius)."""
+        return BallIntersection(self, center, radius)
+
+
+def _center_inside(domain: Domain, coords: np.ndarray, radius: float) -> bool:
+    """``cap_nonempty`` of the members whose signed distance is not exact off
+    the domain: only a center inside can be verified."""
+    if domain.contains(coords):
+        return True
+    raise UnsupportedDomainError(
+        "cannot verify cap nonemptiness against this base; place the center inside"
+    )
+
+
+def formula(domain: Domain, name: str) -> Callable:
+    """The closed form ``name`` of a catalog member; UnsupportedDomainError,
+    naming the class, where the catalog has none."""
+    found = getattr(domain, name, None)
+    if found is None:
+        raise UnsupportedDomainError(
+            f"the catalog has no {name} formula for {type(domain).__name__}"
         )
+    return found
 
 
-def contains(domain: Domain, z: PointLike) -> bool:
-    """True iff z lies in the open domain; boundary points are excluded."""
-    coords = as_coords(z)
-    _check_dim(domain, coords)
-    return _contains(domain, coords)
+@dataclass(frozen=True)
+class UnitDisc(Domain):
+    """The open unit disc in C."""
 
+    dim = 1
+    bergman_over_kobayashi = math.sqrt(2)
 
-def _contains(domain: Domain, coords: np.ndarray) -> bool:
-    # an ellipsoid's boundary distance is a projection, and products and caps
-    # may hold one, so these three test membership directly
-    if isinstance(domain, Product):
-        return all(_contains(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
-    if isinstance(domain, BallIntersection):
-        cap = _norm(coords - as_coords(domain.center)) < domain.radius
-        return bool(cap) and _contains(domain.base, coords)
-    if isinstance(domain, ReinhardtEllipsoid):
-        return float(np.sum(np.abs(coords) ** (2 * np.asarray(domain.exponents)))) < 1.0
-    return _signed(domain, coords) > 0.0
-
-
-def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarray:
-    """The coordinates of z; MembershipError unless z lies in the open domain."""
-    coords = as_coords(z)
-    if not contains(domain, coords):
-        raise MembershipError(f"{name} {coords.tolist()} is not in the domain")
-    return coords
-
-
-def boundary_distance(domain: Domain, z: PointLike) -> float:
-    """Euclidean distance from an interior point to the complement of the domain."""
-    return _signed(domain, member_coords(domain, z))
-
-
-def _signed(domain: Domain, coords: np.ndarray) -> float:
-    """The signed boundary distance; off the domain it is exact for the disc,
-    half-plane, half-disc, ball and polydisc, and never asked for elsewhere."""
-    if isinstance(domain, UnitDisc):
+    def signed(self, coords):
         return 1.0 - abs(coords[0])
-    if isinstance(domain, HalfPlane):
+
+    def contains_rows(self, Z):
+        return _modulus(Z[:, 0]) < 1.0
+
+    def distance(self, Z, W):
+        return distances.disc_distance_batch(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
+
+    def kobayashi(self, Z, X):
+        s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.abs(X[:, 0]) / s
+        return _masked(vals, s > 0.0)
+
+    def bergman(self, Z, X):
+        return self.bergman_over_kobayashi * self.kobayashi(Z, X)
+
+    def moments(self, rows):
+        return math.pi / (rows[:, 0] + 1)
+
+    def sample(self, seed, count, shrink):
+        return sampling.disc_points(seed, count, shrink)[:, None]
+
+
+@dataclass(frozen=True)
+class HalfPlane(Domain):
+    """The open upper half-plane Im z > 0."""
+
+    dim = 1
+
+    def signed(self, coords):
         # the only unbounded member: a non-finite point has no distance, and is no member
         return coords[0].imag if cmath.isfinite(coords[0]) else math.nan
-    if isinstance(domain, HalfDiscScaled):
-        z, r = coords[0], domain.radius
+
+    def contains_rows(self, Z):
+        return (Z[:, 0].imag > 0.0) & np.isfinite(Z[:, 0])
+
+    def cap(self, center, radius):
+        # the cut at 0 with radius up to 1 normalizes to a half-disc
+        if center.coords == (0j,) and 0.0 < radius <= 1.0:
+            return HalfDiscScaled(radius)
+        return super().cap(center, radius)
+
+    def distance(self, Z, W):
+        return distances.halfplane_distance_batch(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
+
+    def kobayashi(self, Z, X):
+        y = Z[:, 0].imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.abs(X[:, 0]) / (2.0 * y)
+        return _masked(vals, (y > 0.0) & np.isfinite(Z[:, 0]))
+
+    def sample(self, seed, count, shrink):
+        return sampling.halfplane_points(seed, count)[:, None]  # a fixed box; no shrink
+
+
+@dataclass(frozen=True)
+class HalfDiscScaled(Domain):
+    """Upper half-plane cut with the disc of radius r centered at 0, 0 < r <= 1."""
+
+    radius: float = 1.0
+    dim = 1
+
+    def __post_init__(self):
+        if not (0.0 < self.radius <= 1.0):
+            raise ValueError("half-disc radius must lie in (0, 1]")
+
+    def signed(self, coords):
+        z, r = coords[0], self.radius
         inner = min(r - abs(z), z.imag)  # NaN first, so a NaN point is no member
         if inner > 0.0:
             return inner
@@ -288,23 +252,249 @@ def _signed(domain: Domain, coords: np.ndarray) -> float:
         if abs(w) > r:
             w = w * (r / abs(w))
         return -abs(z - w)
-    if isinstance(domain, Ball):
+
+    def contains_rows(self, Z):
+        return (Z[:, 0].imag > 0.0) & (_modulus(Z[:, 0]) < self.radius)
+
+    def distance(self, Z, W):
+        return distances.halfdisc_distance_batch(
+            np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0], self.radius
+        )
+
+    def kobayashi(self, Z, X):
+        # the half-plane density pulled back through f = ((z + 1)/(z - 1))^2:
+        # |f'| / (2 Im f) at zeta = z / r, with Im f(zeta) = 4 (1 - |zeta|^2)
+        # Im zeta / |zeta - 1|^4 in closed form, free of the cancellation in
+        # Im f at the arc
+        r = self.radius
+        s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus, r)
+        zeta = Z[:, 0] / r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.abs(X[:, 0]) * np.abs(1.0 + zeta) * np.abs(1.0 - zeta)
+            vals /= 2.0 * r * zeta.imag * (s / r**2)
+        return _masked(vals, (Z[:, 0].imag > 0.0) & (s > 0.0))
+
+    def sample(self, seed, count, shrink):
+        return sampling.halfdisc_points(seed, count, self.radius * shrink)[:, None]
+
+
+@dataclass(frozen=True)
+class Ball(Domain):
+    """The open Euclidean unit ball of C^n."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("ball dimension must be >= 1")
+
+    dim = property(lambda self: self.n)
+    bergman_over_kobayashi = property(lambda self: math.sqrt(self.n + 1))
+
+    def signed(self, coords):
         return 1.0 - float(_norm(coords))
-    if isinstance(domain, Polydisc):
-        gaps = [r - abs(c) for c, r in zip(coords, domain.radii)]
+
+    def contains_rows(self, Z):
+        return _norm(Z) < 1.0
+
+    def distance(self, Z, W):
+        if self.n == 1:  # the disc, whose form has no projection w - Pw to cancel
+            return UnitDisc().distance(Z, W)
+        return distances.ball_distance_batch(Z, W)
+
+    def kobayashi(self, Z, X):
+        # differentiate the automorphism moving z to the origin, where the
+        # density of a vector is its norm
+        nz2 = np.sum(np.abs(Z) ** 2, axis=1)
+        s2 = _complement(nz2, Z, _norm)
+        ip = np.sum(X * np.conj(Z), axis=1)
+        nx2 = np.sum(np.abs(X) ** 2, axis=1)
+        # split X along and across z, push through the automorphism derivative
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p2 = np.where(nz2 > 0.0, np.abs(ip) ** 2 / np.where(nz2 > 0, nz2, 1.0), 0.0)
+            q2 = np.maximum(nx2 - p2, 0.0)
+            vals = np.sqrt(p2 + s2 * q2) / s2
+        return _masked(vals, s2 > 0.0)
+
+    def bergman(self, Z, X):
+        return self.bergman_over_kobayashi * self.kobayashi(Z, X)
+
+    def moments(self, rows):
+        n, total = self.n, rows.sum(axis=1)
+        fact = np.array([float(math.factorial(k)) for k in range(n + total.max() + 1)])
+        out = math.pi**n
+        for a in rows.T:
+            out = out * fact[a]
+        return out / fact[n + total]
+
+    def sample(self, seed, count, shrink):
+        return sampling.ball_points(seed, count, self.n, shrink)
+
+
+@dataclass(frozen=True)
+class Polydisc(Domain):
+    """Product of discs of the given finite positive radii."""
+
+    radii: tuple[float, ...]
+
+    def __post_init__(self):
+        radii = tuple(float(r) for r in self.radii)
+        if len(radii) < 1 or not all(0.0 < r < math.inf for r in radii):
+            raise ValueError("polydisc radii must be finite and positive")
+        object.__setattr__(self, "radii", radii)
+
+    dim = property(lambda self: len(self.radii))
+
+    def signed(self, coords):
+        gaps = [r - abs(c) for c, r in zip(coords, self.radii)]
         if all(g > 0.0 for g in gaps):
             return min(gaps)
         return -math.hypot(*(max(0.0, -g) for g in gaps))
-    if isinstance(domain, Product):
+
+    def contains_rows(self, Z):
+        return np.all(_modulus(Z) < np.asarray(self.radii), axis=1)
+
+    def distance(self, Z, W):
+        return distances.polydisc_distance_batch(Z, W, self.radii)
+
+    def kobayashi(self, Z, X):
+        radii = np.asarray(self.radii)
+        s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per = radii * np.abs(X) / s
+            vals = np.max(per, axis=1)
+        return _masked(vals, np.all(s > 0.0, axis=1))
+
+    def bergman(self, Z, X):
+        radii = np.asarray(self.radii)
+        s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per = 2.0 * (radii * np.abs(X)) ** 2 / s**2
+            vals = np.sqrt(np.sum(per, axis=1))
+        return _masked(vals, np.all(s > 0.0, axis=1))
+
+    def moments(self, rows):
+        out = 1.0  # factor tables by Python's float **; numpy's power rounds otherwise
+        for a, r in zip(rows.T, self.radii):
+            factor = [math.pi * r ** (2 * k + 2) / (k + 1) for k in range(a.max() + 1)]
+            out = out * np.array(factor)[a]
+        return out
+
+    def sample(self, seed, count, shrink):
+        return sampling.polydisc_points(seed, count, self.radii, shrink)
+
+
+@dataclass(frozen=True)
+class Product(Domain):
+    """Cartesian product of catalog domains; coordinates split factor by factor."""
+
+    factors: tuple[Domain, ...]
+    # coordinate slice of each factor; derived, so kept out of ==, hash and repr
+    # (moment tables and other caches key on the domain)
+    slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.factors) < 1:
+            raise ValueError("a product needs at least one factor")
+        object.__setattr__(self, "factors", tuple(self.factors))
+        stops = tuple(accumulate(f.dim for f in self.factors))
+        object.__setattr__(self, "slices", tuple(map(slice, (0,) + stops[:-1], stops)))
+
+    dim = property(lambda self: self.slices[-1].stop)
+
+    def signed(self, coords):
         # complement of a product is the union of "bad slab" cylinders
-        return min(_signed(f, coords[s]) for f, s in zip(domain.factors, domain.slices))
-    if isinstance(domain, BallIntersection):
-        to_sphere = domain.radius - float(_norm(coords - as_coords(domain.center)))
+        return min(f.signed(coords[s]) for f, s in zip(self.factors, self.slices))
+
+    def contains(self, coords):
+        return all(f.contains(coords[s]) for f, s in zip(self.factors, self.slices))
+
+    def contains_rows(self, Z):
+        return np.all(
+            [f.contains_rows(Z[:, s]) for f, s in zip(self.factors, self.slices)], axis=0
+        )
+
+    cap_nonempty = _center_inside
+
+    def _max_over_factors(self, name: str) -> Callable:
+        """Batch core (Z, X) -> (m,): the max over the factors of their ``name``
+        core on their coordinate slice, looked up now, so a factor without one
+        refuses the product before its first evaluation."""
+        parts = [(formula(f, name), s) for f, s in zip(self.factors, self.slices)]
+
+        def core(Z, X):
+            Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+            X = np.atleast_2d(np.asarray(X, dtype=complex))
+            return np.max(np.stack([c(Z[:, s], X[:, s]) for c, s in parts]), axis=0)
+
+        return core
+
+    distance = property(lambda self: self._max_over_factors("distance"))
+    kobayashi = property(lambda self: self._max_over_factors("kobayashi"))
+
+
+@dataclass(frozen=True)
+class BallIntersection(Domain):
+    """A base domain cut with an open Euclidean ball (a "cap")."""
+
+    base: Domain
+    center: ComplexPoint
+    radius: float
+
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("cap radius must be finite and positive")
+        if self.center.dim != self.base.dim:
+            raise DimensionMismatchError("cap center has wrong dimension")
+        if not self.base.cap_nonempty(as_coords(self.center), self.radius):
+            raise EmptyIntersectionError("ball cap has empty interior")
+
+    dim = property(lambda self: self.base.dim)
+
+    def signed(self, coords):
+        to_sphere = self.radius - float(_norm(coords - as_coords(self.center)))
         # exact for the convex-with-convex intersections in the catalog
-        return min(_signed(domain.base, coords), to_sphere)
-    if isinstance(domain, ReinhardtEllipsoid):
-        return _ellipsoid_delta(domain, coords)
-    raise UnsupportedDomainError(f"unknown domain {domain!r}")
+        return min(self.base.signed(coords), to_sphere)
+
+    def contains(self, coords):
+        cap = _norm(coords - as_coords(self.center)) < self.radius
+        return bool(cap) and self.base.contains(coords)
+
+    def contains_rows(self, Z):
+        cap = _norm(Z - as_coords(self.center)) < self.radius
+        return cap & self.base.contains_rows(Z)
+
+    cap_nonempty = _center_inside
+
+
+@dataclass(frozen=True)
+class ReinhardtEllipsoid(Domain):
+    """The Reinhardt domain sum_j |z_j|^(2 p_j) < 1 with finite positive exponents."""
+
+    exponents: tuple[float, ...]
+
+    def __post_init__(self):
+        exps = tuple(float(p) for p in self.exponents)
+        if len(exps) < 1 or not all(0.0 < p < math.inf for p in exps):
+            raise ValueError("ellipsoid exponents must be finite and positive")
+        object.__setattr__(self, "exponents", exps)
+
+    dim = property(lambda self: len(self.exponents))
+
+    def signed(self, coords):
+        return _ellipsoid_delta(self, coords)
+
+    # the boundary distance is a projection, so membership is tested directly
+    def contains(self, coords):
+        return float(np.sum(np.abs(coords) ** (2 * np.asarray(self.exponents)))) < 1.0
+
+    def contains_rows(self, Z):
+        return np.sum(np.abs(Z) ** (2 * np.asarray(self.exponents)), axis=1) < 1.0
+
+    cap_nonempty = _center_inside
+
+    def moments(self, rows):
+        return bergman._ellipsoid_moments(self.exponents, rows)
 
 
 # where each monotone piece of the KKT multiplier is sampled, as a fraction of
@@ -429,54 +619,47 @@ def _kkt_polish(x, p, start, fixed, lam_fixed):
     return s, np.maximum(budget, 0.0)
 
 
-def _cap_nonempty(base: Domain, center: ComplexPoint, radius: float) -> bool:
-    coords = as_coords(center)
-    if isinstance(base, (Product, BallIntersection, ReinhardtEllipsoid)):
-        if _contains(base, coords):
-            return True
-        raise UnsupportedDomainError(
-            "cannot verify cap nonemptiness against this base; place the center inside"
-        )
-    return -_signed(base, coords) < radius
+# --------------------------------------------------------------------------
+# entry points: validated lookups on the catalog classes
+# --------------------------------------------------------------------------
+
+def dimension(domain: Domain) -> int:
+    return domain.dim
+
+
+def contains(domain: Domain, z: PointLike) -> bool:
+    """True iff z lies in the open domain; boundary points are excluded."""
+    coords = as_coords(z)
+    if len(coords) != domain.dim:
+        raise DimensionMismatchError(f"point has dimension {len(coords)}, domain has {domain.dim}")
+    return domain.contains(coords)
+
+
+def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarray:
+    """The coordinates of z; MembershipError unless z lies in the open domain."""
+    coords = as_coords(z)
+    if not contains(domain, coords):
+        raise MembershipError(f"{name} {coords.tolist()} is not in the domain")
+    return coords
+
+
+def boundary_distance(domain: Domain, z: PointLike) -> float:
+    """Euclidean distance from an interior point to the complement of the domain."""
+    return domain.signed(member_coords(domain, z))
 
 
 def contains_batch(domain: Domain, Z: np.ndarray) -> np.ndarray:
     """Vectorized membership for a batch of points, shape (m, n) -> (m,) bools."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    if isinstance(domain, UnitDisc):
-        return _modulus(Z[:, 0]) < 1.0
-    if isinstance(domain, HalfPlane):
-        return (Z[:, 0].imag > 0.0) & np.isfinite(Z[:, 0])
-    if isinstance(domain, HalfDiscScaled):
-        return (Z[:, 0].imag > 0.0) & (_modulus(Z[:, 0]) < domain.radius)
-    if isinstance(domain, Ball):
-        return _norm(Z) < 1.0
-    if isinstance(domain, Polydisc):
-        return np.all(_modulus(Z) < np.asarray(domain.radii), axis=1)
-    if isinstance(domain, Product):
-        return np.all(
-            [contains_batch(f, Z[:, s]) for f, s in zip(domain.factors, domain.slices)],
-            axis=0,
-        )
-    if isinstance(domain, BallIntersection):
-        c = as_coords(domain.center)
-        cap = _norm(Z - c) < domain.radius
-        return cap & contains_batch(domain.base, Z)
-    if isinstance(domain, ReinhardtEllipsoid):
-        p = np.asarray(domain.exponents)
-        return np.sum(np.abs(Z) ** (2 * p), axis=1) < 1.0
-    raise UnsupportedDomainError(f"unknown domain {domain!r}")
+    return domain.contains_rows(np.atleast_2d(np.asarray(Z, dtype=complex)))
 
 
 def intersect_with_ball(
     domain: Domain, center: PointLike, radius: float
 ) -> Domain:
     """Cut a domain with an open ball; the half-plane cut at 0 normalizes to a half-disc."""
-    c = ComplexPoint(tuple(as_coords(center)))
-    if (
-        isinstance(domain, HalfPlane)
-        and c.coords == (0j,)
-        and 0.0 < radius <= 1.0
-    ):
-        return HalfDiscScaled(radius)
-    return BallIntersection(domain, c, radius)
+    return domain.cap(ComplexPoint(tuple(as_coords(center))), radius)
+
+
+# The closed forms above call the shared kernels of these modules, which import
+# names from this one; imported last, they find every name already defined.
+from . import bergman, distances, sampling  # noqa: E402

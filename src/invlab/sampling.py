@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import formula
+
 EDGE = 1e-9
 
 
@@ -81,16 +83,4 @@ def domain_points(seed: int, count: int, domain, shrink: float = 0.9) -> np.ndar
     Points are drawn inside the domain shrunk by the given factor so that
     distances stay well conditioned.
     """
-    from . import geometry as g
-
-    if isinstance(domain, g.UnitDisc):
-        return disc_points(seed, count, shrink)[:, None]
-    if isinstance(domain, g.HalfPlane):
-        return halfplane_points(seed, count)[:, None]
-    if isinstance(domain, g.HalfDiscScaled):
-        return halfdisc_points(seed, count, domain.radius * shrink)[:, None]
-    if isinstance(domain, g.Ball):
-        return ball_points(seed, count, domain.n, shrink)
-    if isinstance(domain, g.Polydisc):
-        return polydisc_points(seed, count, domain.radii, shrink)
-    raise ValueError(f"no sampler for {type(domain).__name__}")
+    return formula(domain, "sample")(seed, count, shrink)

@@ -19,6 +19,7 @@ from invlab.geometry import (
     Ball,
     BallIntersection,
     ComplexPoint,
+    DimensionMismatchError,
     HalfPlane,
     MembershipError,
     Polydisc,
@@ -184,6 +185,27 @@ def test_errors():
     with pytest.raises(MembershipError):
         # closer to the boundary than twice the step
         bergman_metric_numeric(UnitDisc(), 0.9999, 1.0, 10, 1e-3)
+
+
+def test_vector_of_the_wrong_dimension_is_no_membership_error():
+    # cmd_bergman reads MembershipError as a point too close to the boundary
+    for domain, z, X in ((UnitDisc(), 0.1, (1.0, 0.5)), (Ball(2), (0.1, 0.2j), 1.0)):
+        with pytest.raises(DimensionMismatchError) as info:
+            bergman_metric_numeric(domain, z, X, 10, 1e-3)
+        assert not isinstance(info.value, MembershipError)
+
+
+@pytest.mark.parametrize(
+    "domain", [UnitDisc(), Polydisc((0.7, 1.3)), Ball(2), ReinhardtEllipsoid((1.0, 2.0))], ids=repr
+)
+def test_an_empty_moment_stack_gives_an_empty_array(domain):
+    out = monomial_moment(domain, np.zeros((0, dimension(domain)), dtype=int))
+    assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+
+
+def test_an_empty_moment_stack_still_refuses_a_non_reinhardt_domain():
+    with pytest.raises(UnsupportedDomainError):
+        monomial_moment(HalfPlane(), np.zeros((0, 1), dtype=int))
 
 
 def _oracle_moment(domain, alpha):
@@ -408,7 +430,7 @@ def _oracle_metric(domain, z, X, N, h):
     coords = as_coords(z)
     vec = as_coords(X)
     if len(coords) != len(vec):
-        raise MembershipError("point and vector dimensions differ")
+        raise DimensionMismatchError("point and vector dimensions differ")
     member_coords(domain, coords)
     reach = 2.0 * h * float(np.linalg.norm(vec))
     if boundary_distance(domain, coords) < reach:

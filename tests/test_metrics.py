@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from invlab import conformal
 from invlab.geometry import (
     Ball,
+    DimensionMismatchError,
     HalfDiscScaled,
     HalfPlane,
     MembershipError,
@@ -307,6 +308,15 @@ def test_membership_errors():
         kobayashi_royden_density(UnitDisc(), 1.5, 1.0)
     with pytest.raises(MembershipError):
         bergman_metric(UnitDisc(), 1.0, 1.0)
+
+
+def test_vector_of_the_wrong_dimension_is_no_membership_error():
+    # a caller reading MembershipError as "point outside the domain" would
+    # blame the point for the vector
+    for domain, z, X in ((UnitDisc(), 0.1, (1.0, 0.5)), (Ball(2), (0.1, 0.2j), 1.0)):
+        with pytest.raises(DimensionMismatchError) as info:
+            kobayashi_density(domain).evaluate(z, X)
+        assert not isinstance(info.value, MembershipError)
 
 
 def test_unsupported_variants():
