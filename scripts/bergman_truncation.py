@@ -21,7 +21,6 @@ CASES = [
     ("ellipsoid", ReinhardtEllipsoid((1.0, 2.0)), (0.3, 0.3), (1.0, 0.0), None, None),
 ]
 DEGREES = [5, 10, 20, 30, 40, 50]
-STEP = 1e-3
 OUT = os.path.join("out", "bergman_truncation.csv")
 
 
@@ -36,7 +35,7 @@ def main():
         for name, domain, z, X, kernel_exact, beta_exact in CASES:
             for N in DEGREES:
                 kr = bergman_kernel_diag(domain, z, N)
-                beta = bergman_metric_numeric(domain, z, X, N, STEP)
+                beta = bergman_metric_numeric(domain, z, X, N)
                 row = (name, N, kr.kernel_diag, kr.tail_estimate, beta, kernel_exact, beta_exact)
                 fh.write(csv_line(*row))
             log.info(f"{name:9s} N={N}: kernel={kr.kernel_diag:.10g} beta={beta:.8g}")

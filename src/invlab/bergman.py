@@ -167,7 +167,6 @@ class KernelResult:
 
     kernel_diag: float
     kernel_sqrt: float
-    truncation_degree: int
     tail_estimate: float
 
 
@@ -199,11 +198,14 @@ def bergman_kernel_diag(domain: Domain, z: PointLike, N: int) -> KernelResult:
         if ratios:
             r = max(ratios)
             tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
-    return KernelResult(kernel, math.sqrt(kernel), table.truncation_degree, tail)
+    return KernelResult(kernel, math.sqrt(kernel), tail)
+
+
+STENCIL_STEP = 1e-3  # central-difference step of the Hessian metric
 
 
 def bergman_metric_numeric(
-    domain: Domain, z: PointLike, X: VectorLike, N: int, h: float
+    domain: Domain, z: PointLike, X: VectorLike, N: int, h: float = STENCIL_STEP
 ) -> float:
     """Metric from the log-kernel Hessian by central differences with step h.
 

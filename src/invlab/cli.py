@@ -155,7 +155,7 @@ def cmd_bergman(args) -> int:
         if len(X) != dimension(domain):
             raise FlagError("--X", "vector dimension does not match the domain")
         try:
-            beta = bergman_lab.bergman_metric_numeric(domain, z, X, N, 1e-3)
+            beta = bergman_lab.bergman_metric_numeric(domain, z, X, N)
         except MembershipError as exc:  # z too close to the boundary for the stencil
             raise FlagError("--z", str(exc))
         except ValueError as exc:  # a Hessian the truncated series leaves nonpositive

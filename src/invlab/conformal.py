@@ -168,9 +168,10 @@ def derivative(m: ConformalMap, z: complex) -> complex:
     return complex(m.derivative(z))
 
 
-def invert_by_newton(
-    m: ConformalMap, target: complex, seed: complex, tol: float = 1e-14
-) -> complex:
+NEWTON_TOL = 1e-14  # relative to max(1, |target|)
+
+
+def invert_by_newton(m: ConformalMap, target: complex, seed: complex) -> complex:
     """Local preimage of ``target`` by complex Newton iteration started at ``seed``.
 
     Convergence is only local; the seed picks the branch.  Raises if the
@@ -179,7 +180,7 @@ def invert_by_newton(
     z = complex(seed)
     for _ in range(100):
         fz = apply(m, z)
-        if abs(fz - target) <= tol * max(1.0, abs(target)):
+        if abs(fz - target) <= NEWTON_TOL * max(1.0, abs(target)):
             return z
         z = z - (fz - target) / derivative(m, z)
     raise RuntimeError("Newton inversion did not converge")

@@ -41,7 +41,6 @@ import numpy as np
 from .geometry import (
     Domain,
     HalfDiscScaled,
-    HalfPlane,
     PointLike,
     _modulus,
     formula,
@@ -199,13 +198,6 @@ def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndar
 # --------------------------------------------------------------------------
 # scalar operations (validated)
 # --------------------------------------------------------------------------
-
-def mobius_halfplane(z: complex, w: complex) -> float:
-    """The invariant ratio |z - w| / |z - conj w| for points of the upper half-plane."""
-    z = member_coords(HalfPlane(), z, "z")
-    w = member_coords(HalfPlane(), w, "w")
-    return float(halfplane_ratio(z[0], w[0]))
-
 
 def kobayashi_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
     """Closed-form distance on a catalog domain; +inf marker past the overflow edge."""

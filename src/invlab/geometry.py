@@ -85,6 +85,8 @@ def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
         return np.array([complex(z)], dtype=complex)
     if isinstance(z, np.ndarray) and z.ndim == 1:  # coordinates already coerced once
         return z.astype(complex)
+    if isinstance(z, np.number) or (isinstance(z, np.ndarray) and z.ndim == 0):
+        return np.array([complex(z)], dtype=complex)
     return np.asarray([complex(c) for c in z], dtype=complex)
 
 
@@ -509,6 +511,9 @@ _ZERO, _FREE_BUDGET = "zero", "free budget"  # the branches that are no piece
 def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
     """Distance to the complement of a Reinhardt ellipsoid, by an exact projection.
 
+    Exact only for members, as ``_center_inside`` assumes: in two or more
+    variables any other point reads 0, no positive value and no NaN.
+
     Rotation invariance in each coordinate puts the nearest boundary point at
     the same phases as z, so the problem drops to the moduli orthant: minimize
     |s - x| over s >= 0 with sum s_j^(2 p_j) = 1, and as the moduli of the
@@ -526,6 +531,8 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
     x = np.abs(coords)
     if len(p) == 1:
         return 1.0 - x[0]  # any single-exponent ellipsoid is the unit disc
+    if not domain.contains(coords):
+        return 0.0  # the projection below is defined from inside only
     # delta is 1-Lipschitz in the moduli, so moduli below 1e-16 count as 0: for
     # p_j = 1 the multiplier of such a modulus is 1/2 to the last bit anyway
     x = np.where(x < 1e-16, 0.0, x)

@@ -12,9 +12,9 @@ closed forms that the catalog classes in :mod:`invlab.geometry` define:
 
 Densities evaluate in batch on (m, n) complex arrays for the geodesic solver;
 points outside the domain map to +inf, which arithmetic then propagates
-(lengths through an outside point are +inf).  The scalar entry points instead
-validate membership and raise.  ``pullback`` works through any
-``conformal.ConformalMap``.
+(lengths through an outside point are +inf).  The scalar ``evaluate`` (and
+``kobayashi_royden_density``, which calls it) instead validates membership and
+raises.  ``pullback`` works through any ``conformal.ConformalMap``.
 """
 
 from __future__ import annotations
@@ -101,35 +101,5 @@ def pullback(m: conformal.ConformalMap, density: FinslerDensity) -> FinslerDensi
     return FinslerDensity("pullback", src, core)
 
 
-def custom_density(
-    fn: Callable[[np.ndarray, np.ndarray], float], domain: Optional[Domain] = None
-) -> FinslerDensity:
-    """Wrap a scalar (coords, components) -> value function; rows are looped."""
-
-    def core(Z, X):
-        return np.array([float(fn(z, x)) for z, x in zip(Z, X)])
-
-    return FinslerDensity("custom", domain, core)
-
-
-# --------------------------------------------------------------------------
-# scalar convenience entry points
-# --------------------------------------------------------------------------
-
 def kobayashi_royden_density(domain: Domain, z: PointLike, X: VectorLike) -> float:
     return kobayashi_density(domain).evaluate(z, X)
-
-
-def bergman_metric(domain: Domain, z: PointLike, X: VectorLike) -> float:
-    return bergman_density(domain).evaluate(z, X)
-
-
-def normalized_bergman(domain: Domain, z: PointLike, X: VectorLike) -> float:
-    return normalized_bergman_density(domain).evaluate(z, X)
-
-
-def pullback_density(
-    m: conformal.ConformalMap, density: FinslerDensity, z: PointLike, X: VectorLike
-) -> float:
-    return pullback(m, density).evaluate(z, X)
-

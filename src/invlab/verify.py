@@ -183,29 +183,27 @@ def suite_bergman_oracle(seed: int) -> dict:
     ]
     beta_err = 0.0
     for domain, z, X, N, exact in beta_cases:
-        got = bergman.bergman_metric_numeric(domain, z, X, N, 1e-3)
+        got = bergman.bergman_metric_numeric(domain, z, X, N)
         beta_err = max(beta_err, abs(got - exact))
     closed_ratio_err = 0.0
+    normalized = metrics.normalized_bergman_density(disc)
     pts = sampling.disc_points(seed, 50, 0.9)
     for z in pts:
-        ratio = metrics.normalized_bergman(disc, z, 1.0) / metrics.kobayashi_royden_density(
-            disc, z, 1.0
-        )
+        ratio = normalized.evaluate(z, 1.0) / metrics.kobayashi_royden_density(disc, z, 1.0)
         closed_ratio_err = max(closed_ratio_err, abs(ratio - 1.0))
+    normalized = metrics.normalized_bergman_density(Ball(2))
     ball_pts = sampling.ball_points(seed + 1, 50, 2, 0.9)
     for z in ball_pts:
         X = (0.3 + 0.1j, -0.7)
-        ratio = metrics.normalized_bergman(Ball(2), z, X) / metrics.kobayashi_royden_density(
-            Ball(2), z, X
-        )
+        ratio = normalized.evaluate(z, X) / metrics.kobayashi_royden_density(Ball(2), z, X)
         closed_ratio_err = max(closed_ratio_err, abs(ratio - 1.0))
     numeric_ratio_err = 0.0
     for z in (0.0, 0.3, 0.5 + 0.2j, 0.7, 0.49 - 0.49j):
-        got = bergman.bergman_metric_numeric(disc, z, 1.0, 50, 1e-3) / math.sqrt(2.0)
+        got = bergman.bergman_metric_numeric(disc, z, 1.0, 50) / math.sqrt(2.0)
         kappa = metrics.kobayashi_royden_density(disc, z, 1.0)
         numeric_ratio_err = max(numeric_ratio_err, abs(got / kappa - 1.0))
     for z, X in (((0.0, 0.0), (1.0, 0.0)), ((0.3, 0.1 - 0.2j), (0.5, 0.2j))):
-        got = bergman.bergman_metric_numeric(Ball(2), z, X, 20, 1e-3) / math.sqrt(3.0)
+        got = bergman.bergman_metric_numeric(Ball(2), z, X, 20) / math.sqrt(3.0)
         kappa = metrics.kobayashi_royden_density(Ball(2), z, X)
         numeric_ratio_err = max(numeric_ratio_err, abs(got / kappa - 1.0))
     measured = {

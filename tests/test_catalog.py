@@ -43,8 +43,10 @@ CATALOG = [
     (Ball(2), ALL),
     (Polydisc((1.0, 0.5)), ALL),
     (Product((Ball(2), HalfPlane())), {"distance", "kobayashi"}),
-    # the ellipsoid factor has neither closed form, so the product has none
+    # the ellipsoid factor has neither closed form, so the product has none;
+    # either factor order, so that neither factor's signed value masks the other's
     (Product((ReinhardtEllipsoid((1.0, 2.0)), UnitDisc())), set()),
+    (Product((UnitDisc(), ReinhardtEllipsoid((1.0, 2.0)))), set()),
     (intersect_with_ball(UnitDisc(), 0.5, 0.7), set()),
     (ReinhardtEllipsoid((0.75, 1.5)), {"moments"}),
 ]
@@ -76,10 +78,9 @@ def test_membership_is_answered_alike(domain, _):
         contains(domain, np.append(pts[0], 0j))
     for p, row in zip(pts, rows):
         assert contains(domain, p) == row
-        # positive exactly on members; off the domain the ellipsoid's projection
-        # is not defined and gives NaN, which is no positive value either
-        with np.errstate(invalid="ignore"):
-            assert (domain.signed(as_coords(p)) > 0.0) == row
+        # positive exactly on members, and finite
+        signed = domain.signed(as_coords(p))
+        assert np.isfinite(signed) and (signed > 0.0) == row
         if row:
             assert boundary_distance(domain, p) > 0.0
 
@@ -122,9 +123,9 @@ MODULES = sorted(
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imports_alone(module):
     # geometry imports bergman, distances and sampling at its foot and they
-    # import geometry; a fresh interpreter per module, with the package's
-    # __init__ (which imports geometry first) left out, finds any import cycle
-    # that a later top-level import would reopen
+    # import geometry; a fresh interpreter per module, with a bare package
+    # object in place of the package's __init__, finds any import cycle that a
+    # later top-level import would reopen
     package = os.path.dirname(invlab.__file__)
     code = (
         "import sys, types\n"

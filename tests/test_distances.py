@@ -21,7 +21,6 @@ from invlab.distances import (
     ball_distance_batch,
     kobayashi_distance,
     localization_gap,
-    mobius_halfplane,
 )
 from invlab.geometry import (
     Ball,
@@ -33,21 +32,36 @@ from invlab.geometry import (
     ReinhardtEllipsoid,
     UnitDisc,
     UnsupportedDomainError,
+    contains,
 )
 from invlab.sampling import ball_points, halfdisc_pairs, halfplane_points
 
 
-def test_mobius_halfplane_examples():
-    assert mobius_halfplane(1j, 2j) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert mobius_halfplane(0.3 + 0.7j, 0.3 + 0.7j) == 0.0
-    assert mobius_halfplane(0.5j, 0.25j) == pytest.approx(1.0 / 3.0, abs=1e-15)
+def test_halfplane_ratio_examples():
+    assert halfplane_ratio(1j, 2j) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert halfplane_ratio(0.3 + 0.7j, 0.3 + 0.7j) == 0.0
+    assert halfplane_ratio(0.5j, 0.25j) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # the validated route refuses boundary and non-finite points on either side
     with pytest.raises(MembershipError):
-        mobius_halfplane(1.0, 1j)
+        kobayashi_distance(HalfPlane(), 1.0, 1j)
     for bad in (complex(0, math.nan), complex(0, math.inf), complex(math.inf, 1)):
         with pytest.raises(MembershipError):
-            mobius_halfplane(bad, 1j)
+            kobayashi_distance(HalfPlane(), bad, 1j)
         with pytest.raises(MembershipError):
-            mobius_halfplane(1j, bad)
+            kobayashi_distance(HalfPlane(), 1j, bad)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [np.int64(0), np.float32(0.25), np.complex64(0.25j), np.array(0.25), np.array(0.25j)],
+    ids=["int64", "float32", "complex64", "0-d float", "0-d complex"],
+)
+def test_numpy_scalars_are_points(z):
+    # numpy scalars and 0-d arrays are points like the Python scalar of the same value
+    assert contains(UnitDisc(), z)
+    want = kobayashi_distance(UnitDisc(), complex(z), 0.5).value
+    assert kobayashi_distance(UnitDisc(), z, 0.5).value == want
+    assert kobayashi_distance(UnitDisc(), 0.5, z).value == want
 
 
 def test_kobayashi_distance_examples():

@@ -20,15 +20,12 @@ from invlab.geometry import (
     contains_batch,
 )
 from invlab.metrics import (
+    FinslerDensity,
     bergman_density,
-    bergman_metric,
-    custom_density,
     kobayashi_density,
     kobayashi_royden_density,
-    normalized_bergman,
     normalized_bergman_density,
     pullback,
-    pullback_density,
 )
 from invlab.sampling import ball_points, disc_points, halfdisc_points
 
@@ -50,34 +47,30 @@ def test_kobayashi_examples():
 
 
 def test_bergman_examples():
-    assert bergman_metric(UnitDisc(), 0, 1) == pytest.approx(math.sqrt(2), abs=1e-15)
-    assert bergman_metric(Ball(2), (0, 0), (1, 0)) == pytest.approx(
-        math.sqrt(3), abs=1e-15
-    )
-    assert bergman_metric(UnitDisc(), 0.5, 1) == pytest.approx(
-        math.sqrt(2) * 4.0 / 3.0, abs=1e-15
-    )
+    disc, ball = bergman_density(UnitDisc()), bergman_density(Ball(2))
+    assert disc.evaluate(0, 1) == pytest.approx(math.sqrt(2), abs=1e-15)
+    assert ball.evaluate((0, 0), (1, 0)) == pytest.approx(math.sqrt(3), abs=1e-15)
+    assert disc.evaluate(0.5, 1) == pytest.approx(math.sqrt(2) * 4.0 / 3.0, abs=1e-15)
 
 
 def test_normalized_bergman_examples():
-    assert normalized_bergman(UnitDisc(), 0, 1) == pytest.approx(1.0, abs=1e-15)
-    assert normalized_bergman(Ball(2), (0, 0), (1, 0)) == pytest.approx(1.0, abs=1e-15)
-    assert normalized_bergman(UnitDisc(), 0.5, 1) == pytest.approx(
-        4.0 / 3.0, abs=1e-15
-    )
+    disc, ball = normalized_bergman_density(UnitDisc()), normalized_bergman_density(Ball(2))
+    assert disc.evaluate(0, 1) == pytest.approx(1.0, abs=1e-15)
+    assert ball.evaluate((0, 0), (1, 0)) == pytest.approx(1.0, abs=1e-15)
+    assert disc.evaluate(0.5, 1) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_pullback_examples():
     hp = kobayashi_density(HalfPlane())
-    got = pullback_density(conformal.HalfDiscToHalfPlane(), hp, 0.5j, 1)
+    got = pullback(conformal.HalfDiscToHalfPlane(), hp).evaluate(0.5j, 1)
     assert got == pytest.approx(5.0 / 3.0, abs=1e-13)
 
     disc = kobayashi_density(UnitDisc())
-    assert pullback_density(conformal.Scale(1), disc, 0.3, 1) == pytest.approx(
+    assert pullback(conformal.Scale(1), disc).evaluate(0.3, 1) == pytest.approx(
         kobayashi_royden_density(UnitDisc(), 0.3, 1), abs=1e-15
     )
     # the half-plane density is the disc density seen through the inverse Cayley map
-    assert pullback_density(INV_CAYLEY, disc, 1j, 1) == pytest.approx(0.5, abs=1e-15)
+    assert pullback(INV_CAYLEY, disc).evaluate(1j, 1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_pullback_through_a_composition_is_the_halfdisc_density():
@@ -175,13 +168,14 @@ def test_bidisc_normalized_bergman_over_kobayashi():
     # sqrt(2/3) |v|_2 / |v|_inf with v_j = |X_j| / (1 - |z_j|^2): inside
     # [sqrt(2/3), sqrt(4/3)], so inside the squeezing bounds 2^(-3/2), 2^(3/2)
     dom = Polydisc((1.0, 1.0))
+    normalized = normalized_bergman_density(dom)
     rng = np.random.default_rng(2)
     pts = np.stack(
         [disc_points(21, 300, 0.97), disc_points(22, 300, 0.97)], axis=1
     )
     for z in pts[:50]:
         X = tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        ratio = normalized_bergman(dom, z, X) / kobayashi_royden_density(dom, z, X)
+        ratio = normalized.evaluate(z, X) / kobayashi_royden_density(dom, z, X)
         assert math.sqrt(2 / 3) * (1 - 1e-12) <= ratio <= math.sqrt(4 / 3) * (1 + 1e-12)
 
 
@@ -211,12 +205,10 @@ def test_product_density_is_max_of_factors():
 def test_infinity_marker_propagates():
     inside = HalfDiscScaled(0.5)
 
-    def fn(zc, Xc):
-        from invlab.geometry import contains
+    def core(Z, X):
+        return np.where(contains_batch(inside, Z), np.abs(X[:, 0]), math.inf)
 
-        return abs(Xc[0]) if contains(inside, zc) else math.inf
-
-    dens = custom_density(fn, HalfPlane())
+    dens = FinslerDensity("inside-half-disc", HalfPlane(), core)
     assert dens.evaluate(0.25j, 1.0) == 1.0
     assert dens.evaluate(2j, 1.0) == math.inf
 
@@ -282,7 +274,7 @@ def test_density_cores_agree_with_membership():
                 assert got == pytest.approx(want, rel=1e-13)
     z = -0.24198136115632474 - 0.9702808979120078j
     assert math.isfinite(kobayashi_royden_density(UnitDisc(), z, 1.0))
-    assert math.isfinite(bergman_metric(UnitDisc(), z, 1.0))
+    assert math.isfinite(bergman_density(UnitDisc()).evaluate(z, 1.0))
     z = 0.04676626078799779 + 0.9989058598546255j
     assert 0.0 < kobayashi_royden_density(HalfDiscScaled(1.0), z, 1.0) < math.inf
 
@@ -307,7 +299,7 @@ def test_membership_errors():
     with pytest.raises(MembershipError):
         kobayashi_royden_density(UnitDisc(), 1.5, 1.0)
     with pytest.raises(MembershipError):
-        bergman_metric(UnitDisc(), 1.0, 1.0)
+        bergman_density(UnitDisc()).evaluate(1.0, 1.0)
 
 
 def test_vector_of_the_wrong_dimension_is_no_membership_error():

@@ -459,7 +459,7 @@ def test_import_loads_no_scipy():
     # scipy is imported inside the functions that need it, keeping it out of
     # the start-up of every CLI call
     src = os.path.dirname(os.path.dirname(invlab.__file__))
-    code = "import sys, invlab; sys.exit('scipy' in sys.modules)"
+    code = "import sys, invlab.cli; sys.exit('scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
