@@ -42,6 +42,7 @@ from .geometry import (
     Domain,
     HalfDiscScaled,
     PointLike,
+    _across,
     _modulus,
     formula,
     member_coords,
@@ -167,9 +168,9 @@ def ball_distance_batch(Z, W):
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
-    nz2 = np.sum(np.abs(Z) ** 2, axis=1)
-    nw2 = np.sum(np.abs(W) ** 2, axis=1)
-    ip = np.sum(W * np.conj(Z), axis=1)
+    nz2 = _across(np.add, np.abs(Z) ** 2)
+    nw2 = _across(np.add, np.abs(W) ** 2)
+    ip = _across(np.add, W * np.conj(Z))
     at_origin = nz2 == 0.0
     safe = np.where(at_origin, 1.0, nz2)
     # divide by the real |z|^2 part by part: numpy's complex division rounds
@@ -177,7 +178,8 @@ def ball_distance_batch(Z, W):
     proj = (ip.real / safe + 1j * (ip.imag / safe))[:, None] * Z
     s = np.sqrt(np.maximum(0.0, 1.0 - nz2))[:, None]
     phi = (Z - proj - s * (W - proj)) / (1.0 - ip)[:, None]
-    m = np.linalg.norm(np.where(at_origin[:, None], -W, phi), axis=1)
+    v = np.where(at_origin[:, None], -W, phi)
+    m = np.sqrt(_across(np.add, (v.conj() * v).real))
     comp = (1.0 - nz2) * (1.0 - nw2) / np.abs(1.0 - ip) ** 2
     return _atanh_stable(m, comp)
 
@@ -186,8 +188,8 @@ def polydisc_distance_batch(Z, W, radii):
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
     r = np.asarray(radii, dtype=float)
-    per = _atanh_stable(disc_ratio(Z / r, W / r), disc_complement(Z / r, W / r))
-    return np.max(per, axis=1)
+    Zr, Wr = Z / r, W / r
+    return _across(np.maximum, _atanh_stable(disc_ratio(Zr, Wr), disc_complement(Zr, Wr)))
 
 
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:

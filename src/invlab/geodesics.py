@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,8 @@ from .geometry import (
     Domain,
     MembershipError,
     PointLike,
+    _across,
+    _norm,
     as_coords,
     contains_batch,
 )
@@ -118,7 +121,7 @@ def _segment_lengths(density: FinslerDensity, a, b, d=None) -> np.ndarray:
     lengths = 0.5 * (v[:m] + v[m:])
     if not d.all():
         # a zero segment contributes nothing even where the density is infinite
-        lengths = np.where(np.all(d == 0, axis=1), 0.0, lengths)
+        lengths = np.where(_across(np.logical_and, d == 0), 0.0, lengths)
     return lengths
 
 
@@ -164,7 +167,7 @@ def _node_density(d: np.ndarray, seg: np.ndarray) -> np.ndarray:
     ``d`` holds the segment differences.  Returns a (k - 2, 1) column.  A node
     whose value is not a positive finite number (a zero-length segment, an
     infinite density) gets +inf, so the metric step leaves it in place."""
-    norm = np.sqrt((d.real**2 + d.imag**2).sum(axis=1))
+    norm = _norm(d)
     ratio = np.divide(seg, norm, out=np.full_like(seg, np.nan), where=norm > 0)
     rho = 0.5 * (ratio[:-1] + ratio[1:])
     return np.where(rho > 0, rho, np.inf)[:, None]
@@ -220,7 +223,7 @@ def _descend(
             grad = diff[:, 0::2] + 1j * diff[:, 1::2]
             # rho_i |displacement_i| = step * |grad_i / rho_i| / gnorm
             scaled = grad / rho
-            gnorm = float(np.max(np.linalg.norm(scaled, axis=1)))
+            gnorm = float(np.max(np.sqrt(_across(np.add, (scaled.conj() * scaled).real))))
             if gnorm == 0.0 or not math.isfinite(gnorm):
                 break
             direction = scaled / rho
@@ -292,13 +295,15 @@ def minimize_curve(
     return curve, length
 
 
-def _dyadic_pairs(count: int):
-    """Index pairs (i, i + 2^j): O(count log count) of them, spanning all scales."""
-    offset = 1
-    while offset <= count - 1:
-        for i in range(0, count - offset):
-            yield i, i + offset
-        offset *= 2
+@lru_cache(maxsize=64)
+def _dyadic_pairs(count: int) -> np.ndarray:
+    """Index pairs (i, i + 2^j), O(count log count) of them spanning all scales,
+    as a read-only (P, 2) array ordered by offset, then by i."""
+    offsets = [1 << j for j in range((count - 1).bit_length())]
+    pairs = np.array([(i, i + o) for o in offsets for i in range(count - o)], dtype=int)
+    pairs = pairs.reshape(-1, 2)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def epsilon_certificate(
@@ -316,7 +321,7 @@ def epsilon_certificate(
     k = nodes.shape[0]
     seg = _segment_lengths(density, nodes[:-1], nodes[1:])
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
-    pairs = np.array(list(_dyadic_pairs(k)), dtype=int)
+    pairs = _dyadic_pairs(k)
     if pairs.size == 0:
         return EpsilonCertificate(0.0, (0, 0))
     sub_lengths = cumulative[pairs[:, 1]] - cumulative[pairs[:, 0]]
@@ -348,4 +353,5 @@ def epsilon_certificate(
 def excursion_radius(curve: Polyline, z: PointLike) -> float:
     """Largest Euclidean distance from any node of the curve to z."""
     zc = as_coords(z)
-    return float(np.max(np.linalg.norm(curve.nodes - zc[None, :], axis=1)))
+    v = curve.nodes - zc[None, :]
+    return float(np.max(np.sqrt(_across(np.add, (v.conj() * v).real))))

@@ -90,10 +90,33 @@ def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
     return np.asarray([complex(c) for c in z], dtype=complex)
 
 
+FEW_ROWS = 32  # below this many rows numpy's own reduction is the faster one
+
+
+def _across(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(A, axis=-1)`` bit for bit (a NaN's sign aside), one
+    coordinate column at a time where that is faster.
+
+    numpy reduces a short last axis row by row, many times slower than one
+    ufunc call per column once a batch has a few dozen rows.  Below 8 real
+    terms a row (4 complex ones) its reduction runs left to right from the
+    identity, which the column chain repeats.  A point or a few rows, a single
+    column, and longer rows, whose pairwise sum associates otherwise, go to
+    numpy.  The result never shares memory with A: callers may write into it.
+    """
+    rows, n = (len(A) if A.ndim > 1 else 1), A.shape[-1]
+    if rows < FEW_ROWS or n < 2 or n * (2 if A.dtype.kind == "c" else 1) >= 8:
+        return ufunc.reduce(A, axis=-1)
+    out = A[:, 0] if ufunc.identity is None else ufunc(ufunc.identity, A[:, 0])
+    for j in range(1, n):
+        out = ufunc(out, A[:, j])
+    return out
+
+
 def _norm(Z: np.ndarray) -> np.ndarray:
     """Norm over the last axis, with the same operations for a point and for each
     row of a batch (``np.linalg.norm`` sums a vector and matrix rows differently)."""
-    return np.sqrt(np.add.reduce(Z.real**2 + Z.imag**2, axis=-1))
+    return np.sqrt(_across(np.add, Z.real**2 + Z.imag**2))
 
 
 def _modulus(Z: np.ndarray) -> np.ndarray:
@@ -307,10 +330,10 @@ class Ball(Domain):
     def kobayashi(self, Z, X):
         # differentiate the automorphism moving z to the origin, where the
         # density of a vector is its norm
-        nz2 = np.sum(np.abs(Z) ** 2, axis=1)
+        nz2 = _across(np.add, np.abs(Z) ** 2)
         s2 = _complement(nz2, Z, _norm)
-        ip = np.sum(X * np.conj(Z), axis=1)
-        nx2 = np.sum(np.abs(X) ** 2, axis=1)
+        ip = _across(np.add, X * np.conj(Z))
+        nx2 = _across(np.add, np.abs(X) ** 2)
         # split X along and across z, push through the automorphism derivative
         with np.errstate(divide="ignore", invalid="ignore"):
             p2 = np.where(nz2 > 0.0, np.abs(ip) ** 2 / np.where(nz2 > 0, nz2, 1.0), 0.0)
@@ -354,7 +377,7 @@ class Polydisc(Domain):
         return -math.hypot(*(max(0.0, -g) for g in gaps))
 
     def contains_rows(self, Z):
-        return np.all(_modulus(Z) < np.asarray(self.radii), axis=1)
+        return _across(np.logical_and, _modulus(Z) < np.asarray(self.radii))
 
     def distance(self, Z, W):
         return distances.polydisc_distance_batch(Z, W, self.radii)
@@ -364,16 +387,16 @@ class Polydisc(Domain):
         s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
         with np.errstate(divide="ignore", invalid="ignore"):
             per = radii * np.abs(X) / s
-            vals = np.max(per, axis=1)
-        return _masked(vals, np.all(s > 0.0, axis=1))
+            vals = _across(np.maximum, per)
+        return _masked(vals, _across(np.logical_and, s > 0.0))
 
     def bergman(self, Z, X):
         radii = np.asarray(self.radii)
         s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
         with np.errstate(divide="ignore", invalid="ignore"):
             per = 2.0 * (radii * np.abs(X)) ** 2 / s**2
-            vals = np.sqrt(np.sum(per, axis=1))
-        return _masked(vals, np.all(s > 0.0, axis=1))
+            vals = np.sqrt(_across(np.add, per))
+        return _masked(vals, _across(np.logical_and, s > 0.0))
 
     def moments(self, rows):
         out = 1.0  # factor tables by Python's float **; numpy's power rounds otherwise
@@ -488,10 +511,10 @@ class ReinhardtEllipsoid(Domain):
 
     # the boundary distance is a projection, so membership is tested directly
     def contains(self, coords):
-        return float(np.sum(np.abs(coords) ** (2 * np.asarray(self.exponents)))) < 1.0
+        return float(_across(np.add, np.abs(coords) ** (2 * np.asarray(self.exponents)))) < 1.0
 
     def contains_rows(self, Z):
-        return np.sum(np.abs(Z) ** (2 * np.asarray(self.exponents)), axis=1) < 1.0
+        return _across(np.add, np.abs(Z) ** (2 * np.asarray(self.exponents))) < 1.0
 
     cap_nonempty = _center_inside
 
@@ -537,7 +560,8 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
     # p_j = 1 the multiplier of such a modulus is 1/2 to the last bit anyway
     x = np.where(x < 1e-16, 0.0, x)
     level = x ** (2 * p)
-    best = float(np.min((1.0 - (level.sum() - level)) ** (0.5 / p) - x))  # axis exits
+    exits = (1.0 - (_across(np.add, level) - level)) ** (0.5 / p) - x
+    best = float(_across(np.minimum, exits))
     branches = []
     for xj, pj in zip(x, p):
         if xj == 0.0 and pj == 1.0:
@@ -577,7 +601,7 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
             # bracket sign changes of the constraint and start in between, from
             # both ends' moduli: a piece nearly flat in lam (p_j near 1, x_j
             # near 0) then starts where the constraint puts it
-            G = np.sum(S ** (2 * p), axis=1) - 1.0
+            G = _across(np.add, S ** (2 * p)) - 1.0
             i = np.flatnonzero(G[:-1] * G[1:] <= 0.0)
             t = G[i] / np.where(G[i] == G[i + 1], 1.0, G[i] - G[i + 1])
             grid = grid[i] + t * (grid[i + 1] - grid[i])
@@ -587,7 +611,7 @@ def _ellipsoid_delta(domain: ReinhardtEllipsoid, coords: np.ndarray) -> float:
         lam_fixed += [budget] * len(grid)
     if starts:
         s, budget = _kkt_polish(x, p, np.array(starts), np.array(fixed), np.array(lam_fixed))
-        d2 = np.sum((s - x) ** 2, axis=1) + budget
+        d2 = _across(np.add, (s - x) ** 2) + budget
         if np.any(np.isfinite(d2)):
             best = min(best, math.sqrt(float(np.nanmin(d2))))
     return best
@@ -610,17 +634,19 @@ def _kkt_polish(x, p, start, fixed, lam_fixed):
             g = np.where(fixed, 0.0, 2 * p * t ** (2 * p - 1))
             F = np.where(fixed, 0.0, s - x - lam[:, None] * g)
             a = np.where(fixed, 1.0, 1.0 - lam[:, None] * g * (2 * p - 1) / t)
-            Fn = np.sum(s ** (2 * p), axis=1) - 1.0
-            dlam = np.where(lam_fixed, 0.0, (np.sum(g * F / a, axis=1) - Fn) / np.sum(g * g / a, axis=1))
+            Fn = _across(np.add, s ** (2 * p)) - 1.0
+            num, den = _across(np.add, g * F / a), _across(np.add, g * g / a)
+            dlam = np.where(lam_fixed, 0.0, (num - Fn) / den)
             ds = (g * dlam[:, None] - F) / a
             s, lam = s + ds, lam + dlam
             if not np.any(np.abs(ds) > 1e-15):  # s <= 1: the next step is rounding
                 break
-        budget = np.where(lam_fixed, 1.0 - np.sum(s ** (2 * p), axis=1), 0.0)
+        level = _across(np.add, s ** (2 * p))
+        budget = np.where(lam_fixed, 1.0 - level, 0.0)
         ok = (
-            np.all(fixed | (s > 0.0), axis=1)
+            _across(np.logical_and, fixed | (s > 0.0))
             & (lam > 0.0)
-            & np.where(lam_fixed, budget >= -1e-13, np.abs(np.sum(s ** (2 * p), axis=1) - 1.0) <= 1e-13)
+            & np.where(lam_fixed, budget >= -1e-13, np.abs(level - 1.0) <= 1e-13)
         )
     s[~ok] = np.nan
     return s, np.maximum(budget, 0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import formula
+from .geometry import _across, formula
 
 EDGE = 1e-9
 
@@ -62,7 +62,7 @@ def ball_points(seed: int, count: int, n: int, radius: float = 1.0) -> np.ndarra
     """Uniform points of the ball of the given radius in C^n, shape (count, n)."""
     rng = generator(seed)
     g = rng.standard_normal((count, 2 * n))
-    direction = g / np.linalg.norm(g, axis=1, keepdims=True)
+    direction = g / np.sqrt(_across(np.add, g * g))[:, None]
     r = radius * _unit(rng.random(count)) ** (1.0 / (2 * n))
     pts = r[:, None] * direction
     return pts[:, :n] + 1j * pts[:, n:]

@@ -369,3 +369,16 @@ def test_zero_curve_on_ball_has_zero_length():
     curve, length = minimize_curve(ball, z, z, SolverConfig(node_count=9, refinement_levels=1))
     assert length == 0.0
     assert finsler_length(ball, curve) == 0.0
+
+
+@pytest.mark.parametrize("count", [2, 3, 9, 65])
+def test_dyadic_pairs_are_one_cached_read_only_array(count):
+    expected, offset = [], 1
+    while offset <= count - 1:
+        expected += [[i, i + offset] for i in range(count - offset)]
+        offset *= 2
+    pairs = geodesics._dyadic_pairs(count)
+    assert pairs.tolist() == expected and pairs.shape == (len(expected), 2)
+    assert geodesics._dyadic_pairs(count) is pairs
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 1
