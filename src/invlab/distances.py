@@ -28,6 +28,10 @@ The localization gap on the half-disc splits exactly into two terms:
 and ``localization_gap`` computes the gap by both routes (term sum, and
 difference of the two distances) with the disagreement stored as a residual.
 Sweep tables take the term sum from ``gap_terms_batch`` alone.
+
+Every planar formula takes its moduli |z - w|, |z - conj w|, |1 - z w| and
+|1 - z conj w| as inputs, each formed once per call; ``localization_gap``
+validates its points, then makes one pass: moduli, terms, k_local, k_global.
 """
 
 from __future__ import annotations
@@ -86,41 +90,72 @@ def _atanh_stable(m, comp):
 # --------------------------------------------------------------------------
 # batch cores (plain complex arrays, no validation)
 # --------------------------------------------------------------------------
+# Each modulus is formed once per call and passed to the formulas reading it.
+# z * np.conj(w) stays inline: from 16384 rows numpy multiplies into the
+# conjugate's temporary as conj(w) * z, which rounds otherwise than z * wb.
+
+def _halfplane_moduli(z, w):
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    return z, w, np.abs(z - w), np.abs(z - np.conj(w))
+
+
+def _moduli(z, w):
+    z, w, zw, zwbar = _halfplane_moduli(z, w)
+    return z, w, zw, zwbar, np.abs(1.0 - z * w), np.abs(1.0 - z * np.conj(w))
+
+
+def _halfplane_parts(z, w, zw, zwbar):
+    return zw / zwbar, 4.0 * z.imag * w.imag / zwbar**2
+
+
+def _disc_complement(z, w, d2):
+    return (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2) / d2**2
+
+
+def _disc_parts(z, w):
+    """(m, 1 - m^2) on the unit disc, each modulus formed once."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    d2 = np.abs(1.0 - z * np.conj(w))
+    return np.abs(z - w) / d2, _disc_complement(z, w, d2)
+
+
+def _halfdisc_parts(z, w, m, comp, d1, d2):
+    """(m, 1 - m^2) on the unit upper half-disc from the half-plane's m, comp."""
+    return d1 / d2 * m, comp * _disc_complement(z, w, d2)
+
+
+def _gap_terms(z, w, zw, zwbar, d1, d2):
+    amount = zw * (z.imag * w.imag / (zw + zwbar)) * 4.0 / ((d1 + d2) * d2)
+    t_boundary = np.log1p(amount)
+    q = zw**2 / d2**2
+    t_separation = -0.5 * np.log1p(-q)
+    return t_boundary, t_separation
+
 
 def halfplane_ratio(z, w):
     """m(z, w) = |z - w| / |z - conj w| on the upper half-plane."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return np.abs(z - w) / np.abs(z - np.conj(w))
+    return _halfplane_parts(*_halfplane_moduli(z, w))[0]
 
 
 def halfplane_complement(z, w):
     """1 - m(z, w)^2 in cancellation-free form: 4 Im z Im w / |z - conj w|^2."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return 4.0 * z.imag * w.imag / np.abs(z - np.conj(w)) ** 2
+    return _halfplane_parts(*_halfplane_moduli(z, w))[1]
 
 
 def halfplane_distance_batch(z, w):
-    return _atanh_stable(halfplane_ratio(z, w), halfplane_complement(z, w))
+    return _atanh_stable(*_halfplane_parts(*_halfplane_moduli(z, w)))
 
 
 def disc_ratio(z, w):
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return np.abs(z - w) / np.abs(1.0 - z * np.conj(w))
+    return _disc_parts(z, w)[0]
 
 
 def disc_complement(z, w):
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    a2 = np.abs(z) ** 2
-    b2 = np.abs(w) ** 2
-    return (1.0 - a2) * (1.0 - b2) / np.abs(1.0 - z * np.conj(w)) ** 2
+    return _disc_parts(z, w)[1]
 
 
 def disc_distance_batch(z, w):
-    return _atanh_stable(disc_ratio(z, w), disc_complement(z, w))
+    return _atanh_stable(*_disc_parts(z, w))
 
 
 def halfdisc_ratio_parts(z, w):
@@ -130,34 +165,18 @@ def halfdisc_ratio_parts(z, w):
     |1 - z w| / |1 - z conj w|, and the complement picks up the disc
     complement of the pair on top of the half-plane complement.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    mu = np.abs(1.0 - z * w) / np.abs(1.0 - z * np.conj(w))
-    m = mu * halfplane_ratio(z, w)
-    comp = halfplane_complement(z, w) * disc_complement(z, w)
-    return m, comp
+    z, w, zw, zwbar, d1, d2 = _moduli(z, w)
+    return _halfdisc_parts(z, w, *_halfplane_parts(z, w, zw, zwbar), d1, d2)
 
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):
-    m, comp = halfdisc_ratio_parts(
-        np.asarray(z, dtype=complex) / radius, np.asarray(w, dtype=complex) / radius
-    )
-    return _atanh_stable(m, comp)
+    z, w = np.asarray(z, dtype=complex) / radius, np.asarray(w, dtype=complex) / radius
+    return _atanh_stable(*halfdisc_ratio_parts(z, w))
 
 
 def gap_terms_batch(z, w):
     """(boundary term, separation term) of the unit half-disc gap, vectorized."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    zw = np.abs(z - w)
-    zwbar = np.abs(z - np.conj(w))
-    d1 = np.abs(1.0 - z * w)
-    d2 = np.abs(1.0 - z * np.conj(w))
-    amount = zw * (z.imag * w.imag / (zw + zwbar)) * 4.0 / ((d1 + d2) * d2)
-    t_boundary = np.log1p(amount)
-    q = zw**2 / d2**2
-    t_separation = -0.5 * np.log1p(-q)
-    return t_boundary, t_separation
+    return _gap_terms(*_moduli(z, w))
 
 
 def ball_distance_batch(Z, W):
@@ -188,8 +207,7 @@ def polydisc_distance_batch(Z, W, radii):
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
     r = np.asarray(radii, dtype=float)
-    Zr, Wr = Z / r, W / r
-    return _across(np.maximum, _atanh_stable(disc_ratio(Zr, Wr), disc_complement(Zr, Wr)))
+    return _across(np.maximum, disc_distance_batch(Z / r, W / r))
 
 
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -236,7 +254,7 @@ def gap_term_separation_leading(z, w):
     return 0.5 * _modulus(z - w) ** 2
 
 
-def localization_gap(z: complex, w: complex, radius: float = 1.0) -> GapDecomposition:
+def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDecomposition:
     """Exact two-term decomposition of k_halfdisc(radius) - k_halfplane.
 
     The gap is computed both as the sum of the closed-form terms and as the
@@ -245,12 +263,14 @@ def localization_gap(z: complex, w: complex, radius: float = 1.0) -> GapDecompos
     rescale by 1/radius (the half-plane distance is scale invariant).
     """
     dom = HalfDiscScaled(radius)
-    member_coords(dom, z, "z")
-    member_coords(dom, w, "w")
-    zs, ws = complex(z) / radius, complex(w) / radius
-    tb, ts = (float(t) for t in gap_terms_batch(zs, ws))
-    k_local = float(halfdisc_distance_batch(zs, ws))
-    k_global = float(halfplane_distance_batch(complex(z), complex(w)))
+    z = complex(member_coords(dom, z, "z")[0])
+    w = complex(member_coords(dom, w, "w")[0])
+    zs, ws, zw, zwbar, d1, d2 = _moduli(z / radius, w / radius)
+    tb, ts = (float(t) for t in _gap_terms(zs, ws, zw, zwbar, d1, d2))
+    halfplane = _halfplane_parts(zs, ws, zw, zwbar)
+    k_local = float(_atanh_stable(*_halfdisc_parts(zs, ws, *halfplane, d1, d2)))
+    # at radius 1 the scaled pair is the pair itself
+    k_global = float(_atanh_stable(*halfplane) if radius == 1.0 else halfplane_distance_batch(z, w))
     gap = tb + ts
     residual = abs(gap - (k_local - k_global))
     return GapDecomposition(gap, tb, ts, residual, k_local, k_global)

@@ -7,12 +7,16 @@ verdicts, the pinned sub-tolerances, and the stated runtime allowances.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from invlab import cli, verify
 
 SEED = 42
+# the seed-42 report as committed; a change that moves a measured value
+# rewrites this file, so its diff names each value that moved
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "out" / "verify_seed42.json"
 RUNTIME_LIMITS = {
     "gap_decomposition": 2.0,
     "gap_asymptotics": 1.0,
@@ -127,6 +131,7 @@ def test_criterion_11_reproducibility(tmp_path):
     elapsed = time.perf_counter() - start
     assert code1 == 0 and code2 == 0
     assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes() == GOLDEN_REPORT.read_bytes()
     payload = json.loads(first.read_text())
     assert set(payload) == set(verify.SUITES)
     assert all(entry["pass"] for entry in payload.values())

@@ -24,6 +24,7 @@ from invlab.distances import (
 )
 from invlab.geometry import (
     Ball,
+    ComplexPoint,
     HalfDiscScaled,
     HalfPlane,
     MembershipError,
@@ -131,6 +132,21 @@ def test_localization_gap_spot_pair():
     assert g.k_local - g.k_global == pytest.approx(g.gap, abs=1e-13)
     same = localization_gap(0.3j, 0.3j)
     assert same.gap == 0.0
+
+
+@pytest.mark.parametrize(
+    "z, w",
+    [
+        ((0.5j,), (0.25j,)),
+        (ComplexPoint((0.5j,)), ComplexPoint((0.25j,))),
+        (np.array([0.5j]), np.array([0.25j])),
+        (np.complex128(0.5j), np.complex128(0.25j)),
+    ],
+    ids=["tuple", "ComplexPoint", "array", "numpy-scalar"],
+)
+def test_localization_gap_takes_every_point_form_its_validation_accepts(z, w):
+    assert localization_gap(z, w) == localization_gap(0.5j, 0.25j)
+    assert localization_gap(z, w, 0.7) == localization_gap(0.5j, 0.25j, 0.7)
 
 
 def test_localization_gap_random_pairs_residual():
