@@ -660,18 +660,22 @@ def dimension(domain: Domain) -> int:
     return domain.dim
 
 
-def contains(domain: Domain, z: PointLike) -> bool:
-    """True iff z lies in the open domain; boundary points are excluded."""
+def _coords_in_dim(domain: Domain, z: PointLike) -> np.ndarray:
     coords = as_coords(z)
     if len(coords) != domain.dim:
         raise DimensionMismatchError(f"point has dimension {len(coords)}, domain has {domain.dim}")
-    return domain.contains(coords)
+    return coords
+
+
+def contains(domain: Domain, z: PointLike) -> bool:
+    """True iff z lies in the open domain; boundary points are excluded."""
+    return domain.contains(_coords_in_dim(domain, z))
 
 
 def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarray:
     """The coordinates of z; MembershipError unless z lies in the open domain."""
-    coords = as_coords(z)
-    if not contains(domain, coords):
+    coords = _coords_in_dim(domain, z)
+    if not domain.contains(coords):
         raise MembershipError(f"{name} {coords.tolist()} is not in the domain")
     return coords
 

@@ -274,12 +274,12 @@ def suite_weight_bounds(seed: int) -> dict:
         c = 0.1 + 9.9 * rng.random()
         alpha = 0.05 + 0.95 * rng.random()
         T = 10.0 ** (-6.0 * rng.random())
-        closed = localization.weight_integral(localization.power_weight(c, alpha), T)
+        closed = localization.weight_integral(localization.AdmissibleWeight(c, alpha), T)
         quadrature = localization.weight_integral(lambda x: c * x**alpha, T)
         integral_err = max(integral_err, abs(quadrature - closed) / closed)
     ok_weights = (
-        not localization.check_admissible(localization.power_weight(1.0, 0.5))
-        and not localization.check_admissible(localization.linear_weight(2.3))
+        not localization.check_admissible(localization.AdmissibleWeight(1.0, 0.5))
+        and not localization.check_admissible(localization.AdmissibleWeight(2.3))
     )
     square_violations = localization.check_admissible(lambda x: x**2)
     const_violations = localization.check_admissible(lambda x: 1.0)
@@ -290,13 +290,13 @@ def suite_weight_bounds(seed: int) -> dict:
     bound_err = max(
         abs(
             localization.integrated_weight_bound(
-                localization.power_weight(1.0, 0.5), 0.0, 1e-4
+                localization.AdmissibleWeight(1.0, 0.5), 0.0, 1e-4
             )
             - 0.2
         ),
         abs(
             localization.ratio_weight_bound(
-                localization.linear_weight(1.0), 0.0, 0.04, 0.01
+                localization.AdmissibleWeight(1.0), 0.0, 0.04, 0.01
             )
             - 1.21
         ),
@@ -326,7 +326,7 @@ def suite_weight_bounds(seed: int) -> dict:
         "max_bound_error": bound_err,
         "admissibility_ok": 1.0 if (ok_weights and rejects) else 0.0,
     }
-    passed = integral_err <= 1e-8 and bound_err <= tol and ok_weights and rejects
+    passed = integral_err <= 1e-13 and bound_err <= tol and ok_weights and rejects
     return _result(passed, measured, tol)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from invlab import bergman
 from invlab.bergman import (
@@ -46,21 +45,18 @@ def test_moment_examples():
 
 
 def _quadrature_moment(alpha, p):
-    """Reinhardt ellipsoid moment, one adaptive quadrature per radial factor
-    int_0^1 rho^(2a+1) (1 - rho^(2p))^s d rho (test oracle)."""
-    out = (2.0 * math.pi) ** len(alpha)
-    for j, (a, pj) in enumerate(zip(alpha, p)):
-        s = sum((alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
-        val, _ = quad(
-            lambda rho: rho ** (2 * a + 1) * (1.0 - rho ** (2 * pj)) ** s,
-            0.0,
-            1.0,
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-        )
-        out *= val
-    return out
+    """Reinhardt ellipsoid moment, one 30-digit quadrature per radial factor
+    int_0^1 rho^(2a+1) (1 - rho^(2p))^s d rho over 32 equal pieces, which
+    resolve the narrow peak of the high rows (test oracle)."""
+    with mpmath.workdps(30):
+        out = (2 * mpmath.pi) ** len(alpha)
+        for j, (a, pj) in enumerate(zip(alpha, p)):
+            s = sum(mpmath.mpf(alpha[k] + 1) / p[k] for k in range(j + 1, len(alpha)))
+            out *= mpmath.quad(
+                lambda rho: rho ** (2 * a + 1) * (1 - rho ** (2 * mpmath.mpf(pj))) ** s,
+                mpmath.linspace(0, 1, 33),
+            )
+        return float(out)
 
 
 @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (0, 2), (3, 1), (2, 3)])
@@ -324,8 +320,8 @@ def _relative_error(got, want):
         return float(abs((mpmath.mpf(got) - want) / want))
 
 
-# each bound at or below the largest relative error of the former scipy Beta
-# product on that table
+# each bound at or below the largest relative error of the Beta-function
+# product the moments were once taken from, on that table
 MPMATH_TABLES = [
     (ReinhardtEllipsoid((1.0, 2.0)), 20, 5.7e-16),
     (ReinhardtEllipsoid((0.6, 2.7)), 20, 1.35e-14),

@@ -10,6 +10,7 @@ from invlab.distances import (
     localization_gap,
 )
 from invlab.localization import (
+    AdmissibleWeight,
     VIOLATION_INTEGRAL_DIVERGES,
     VIOLATION_NOT_UNBOUNDED,
     VIOLATION_RATIO_NOT_DECREASING,
@@ -17,11 +18,9 @@ from invlab.localization import (
     empirical_constant,
     fit_exponent,
     integrated_weight_bound,
-    linear_weight,
     near_boundary_lower_bound,
     near_boundary_upper_bound,
     planar_gap_bound,
-    power_weight,
     ratio_weight_bound,
     refined_excursion_bound,
     SweepRow,
@@ -33,9 +32,9 @@ from invlab.sampling import halfdisc_pairs
 
 
 def test_admissibility_examples():
-    assert check_admissible(power_weight(1.0, 0.5)) == []
-    assert check_admissible(linear_weight(3.0)) == []
-    assert check_admissible(power_weight(2.0, 0.3)) == []
+    assert check_admissible(AdmissibleWeight(1.0, 0.5)) == []
+    assert check_admissible(AdmissibleWeight(3.0)) == []
+    assert check_admissible(AdmissibleWeight(2.0, 0.3)) == []
     square = check_admissible(lambda x: x**2)
     assert VIOLATION_RATIO_NOT_DECREASING in square
     const = check_admissible(lambda x: 1.0)
@@ -44,38 +43,61 @@ def test_admissibility_examples():
 
 
 def test_weight_integral_examples():
-    assert weight_integral(power_weight(1.0, 0.5), 0.04) == pytest.approx(
+    assert weight_integral(AdmissibleWeight(1.0, 0.5), 0.04) == pytest.approx(
         0.4, abs=1e-15
     )
-    assert weight_integral(linear_weight(2.5), 0.3) == pytest.approx(0.75, abs=1e-15)
-    assert weight_integral(power_weight(1.0, 0.5), 0.0) == 0.0
+    assert weight_integral(AdmissibleWeight(2.5), 0.3) == pytest.approx(0.75, abs=1e-15)
+    assert weight_integral(AdmissibleWeight(1.0, 0.5), 0.0) == 0.0
+    assert weight_integral(AdmissibleWeight(1.0, 0.03), 1.0) == 1.0 / 0.03
 
 
 def test_weight_integral_quadrature_matches_closed_form():
-    for c, alpha, T in [(1.0, 0.5, 0.04), (3.0, 0.25, 0.7), (0.2, 1.0, 1e-3)]:
+    # down to x^0.04, near the smallest power exponent the rule accepts
+    cases = [(1.0, 0.5, 0.04), (3.0, 0.25, 0.7), (0.2, 1.0, 1e-3), (1.0, 0.04, 1.0)]
+    for c, alpha, T in cases:
         closed = c * T**alpha / alpha
         quadrature = weight_integral(lambda x: c * x**alpha, T)
-        assert quadrature == pytest.approx(closed, rel=1e-8)
-    # a constant weight has no finite integral of f(x)/x near zero
+        assert quadrature == pytest.approx(closed, rel=1e-13)
+    # a constant weight has no finite integral of f(x)/x near zero, and x^0.03
+    # has not decayed at the smallest normal double (AdmissibleWeight has no
+    # such limit)
+    for f in (lambda x: 1.0, lambda x: x**0.03):
+        with pytest.raises(ValueError):
+            weight_integral(f, 0.5)
+
+
+def _log_weight(x):
+    """1/log^2(1/x) up to 0.1, continued above by the power with the same value
+    and slope there; its integral of f(x)/x over (0, T] is 1/log(1/T)."""
+    if x <= 0.1:
+        return 1.0 / math.log(1.0 / x) ** 2
+    return (x / 0.1) ** (2.0 / math.log(10.0)) / math.log(10.0) ** 2
+
+
+@pytest.mark.parametrize("T", [1e-2, 1e-6])
+def test_weight_integral_refuses_a_log_weight(T):
+    # admissible, but f at the smallest normal double is still 1e-5 of the
+    # integral 1/log(1/T), which no sum over doubles can then reach
+    assert check_admissible(_log_weight) == []
     with pytest.raises(ValueError):
-        weight_integral(lambda x: 1.0, 0.5)
+        weight_integral(_log_weight, T)
 
 
 def test_integrated_weight_bound_example():
-    got = integrated_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4)
+    got = integrated_weight_bound(AdmissibleWeight(1.0, 0.5), 0.0, 1e-4)
     assert got == pytest.approx(0.2, abs=1e-12)
-    assert integrated_weight_bound(power_weight(1.0, 0.5), 0.3j, 0.3j) == 0.0
+    assert integrated_weight_bound(AdmissibleWeight(1.0, 0.5), 0.3j, 0.3j) == 0.0
     # monotone in the separation
     seps = np.geomspace(1e-6, 1e-2, 12)
-    vals = [integrated_weight_bound(power_weight(1.0, 0.5), 0.0, s) for s in seps]
+    vals = [integrated_weight_bound(AdmissibleWeight(1.0, 0.5), 0.0, s) for s in seps]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_ratio_weight_bound_example():
-    got = ratio_weight_bound(linear_weight(1.0), 0.0, 0.04, 0.01)
+    got = ratio_weight_bound(AdmissibleWeight(1.0), 0.0, 0.04, 0.01)
     assert got == pytest.approx(1.21, abs=1e-12)
-    assert ratio_weight_bound(linear_weight(1.0), 0.2, 0.2, 0.0) == 1.0
-    got = ratio_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4, 0.0)
+    assert ratio_weight_bound(AdmissibleWeight(1.0), 0.2, 0.2, 0.0) == 1.0
+    got = ratio_weight_bound(AdmissibleWeight(1.0, 0.5), 0.0, 1e-4, 0.0)
     assert got == pytest.approx(1.1, abs=1e-12)
 
 
@@ -282,10 +304,10 @@ def test_ratio_shape_report_records_constant_and_exponent():
 
 def test_bound_shape_validation():
     with pytest.raises(ValueError):
-        integrated_weight_bound(power_weight(1.0, 0.5), 0.0, 1e-4, m=0)
+        integrated_weight_bound(AdmissibleWeight(1.0, 0.5), 0.0, 1e-4, m=0)
     with pytest.raises(ValueError):
-        ratio_weight_bound(linear_weight(1.0), 0.0, 0.04, 0.01, m=0)
+        ratio_weight_bound(AdmissibleWeight(1.0), 0.0, 0.04, 0.01, m=0)
     with pytest.raises(ValueError):
-        power_weight(1.0, 2.0)
+        AdmissibleWeight(1.0, 2.0)
     with pytest.raises(ValueError):
-        linear_weight(0.0)
+        AdmissibleWeight(0.0)

@@ -455,23 +455,28 @@ def test_run_verify_keeps_registry_order():
     assert list(report) == names  # registry order, not argument order
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported inside the functions that need it, keeping it out of
-    # the start-up of every CLI call
-    src = os.path.dirname(os.path.dirname(invlab.__file__))
-    code = "import sys, invlab.cli; sys.exit('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_disc_ball_and_polydisc_bergman_load_no_scipy():
-    # every moment is a closed form in math, the ellipsoid's too, so no Bergman
-    # path imports scipy
+def test_numpy_is_the_only_runtime_dependency():
+    # numpy is the only runtime dependency: the CLI start-up, every Bergman
+    # path (each moment is a closed form in math, the ellipsoid's too), the
+    # ellipsoid's boundary projection, membership in a product or a cap over
+    # the ellipsoid, and the weight integrals import no other distribution
     src = os.path.dirname(os.path.dirname(invlab.__file__))
     code = (
         "import sys\n"
+        "from importlib.metadata import packages_distributions\n"
+        "start = set(sys.modules)\n"
+        "def loaded():\n"
+        "    dists = packages_distributions()\n"
+        "    names = {m.partition('.')[0] for m in set(sys.modules) - start}\n"
+        "    return {d for m in names for d in dists.get(m, ())} - {'invlab'}\n"
+        "import invlab.cli\n"
+        "assert loaded() == {'numpy'}, loaded()\n"
+        "from invlab import verify\n"
         "from invlab.bergman import bergman_kernel_diag, bergman_metric_numeric, moment_table\n"
-        "from invlab.geometry import Ball, Polydisc, ReinhardtEllipsoid, UnitDisc\n"
+        "from invlab.geometry import (\n"
+        "    Ball, HalfPlane, Polydisc, Product, ReinhardtEllipsoid, UnitDisc,\n"
+        "    boundary_distance, contains, intersect_with_ball\n"
+        ")\n"
         "for d, z, X in ((UnitDisc(), (0.3,), (1.0,)), (Ball(2), (0.3, 0.2j), (1.0, 0.5)),\n"
         "                (Polydisc((0.7, 1.3)), (0.3, 0.2j), (1.0, 0.5)),\n"
         "                (ReinhardtEllipsoid((1.0, 2.0)), (0.3, 0.2j), (1.0, 0.5)),\n"
@@ -481,23 +486,6 @@ def test_disc_ball_and_polydisc_bergman_load_no_scipy():
         "    bergman_metric_numeric(d, z, X, 20, 1e-3)\n"
         "# rows on both sides of Gamma's overflow edge\n"
         "moment_table(ReinhardtEllipsoid((0.12, 2.0)), 20)\n"
-        "sys.exit('scipy' in sys.modules)"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
-    # the ellipsoid's boundary projection is numpy alone, and so is membership
-    # in a product or a cap over the ellipsoid
-    src = os.path.dirname(os.path.dirname(invlab.__file__))
-    code = (
-        "import sys\n"
-        "from invlab.bergman import bergman_metric_numeric\n"
-        "from invlab.geometry import (\n"
-        "    HalfPlane, Product, ReinhardtEllipsoid, boundary_distance, contains,\n"
-        "    intersect_with_ball\n"
-        ")\n"
         "e = ReinhardtEllipsoid((1.0, 2.0))\n"
         "bergman_metric_numeric(e, (0.3, 0.2j), (1.0, 0.5), 20, 1e-3)\n"
         "assert 0.0 < boundary_distance(e, (0.3, 0.2j)) < 1.0\n"
@@ -512,7 +500,8 @@ def test_ellipsoid_bergman_metric_loads_no_scipy_optimize():
         "cap = intersect_with_ball(e, (0.3, 0.2j), 0.5)\n"
         "assert contains(cap, (0.4, 0.1j))\n"
         "assert not contains(cap, (0.9, 0.0))\n"
-        "sys.exit('scipy' in sys.modules)"
+        "assert verify.run_verify(['weight_bounds'], 42)[1]\n"
+        "assert loaded() == {'numpy'}, loaded()\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
