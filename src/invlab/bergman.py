@@ -14,9 +14,9 @@ The metric is the square root of the log-kernel complex Hessian quadratic
 form, evaluated by second-order central differences in the X and iX
 directions with step h, all five points in one series batch.  This numeric
 route is deliberately independent of the closed-form metrics of the catalog
-classes, so the two certify each other.  The point must lie 2 h |X| inside: a
-test on its moduli settles that for most points, and only the others pay for
-the exact boundary projection (under a millisecond on ellipsoids).
+classes, so the two certify each other.  The series is evaluated only at
+members: the four stencil points z +- h X, z +- i h X must lie inside, and one
+batch membership test on the five-row stack settles that.
 """
 
 from __future__ import annotations
@@ -34,10 +34,7 @@ from .geometry import (
     MembershipError,
     PointLike,
     VectorLike,
-    _modulus,
     as_coords,
-    boundary_distance,
-    contains,
     dimension,
     formula,
     member_coords,
@@ -189,15 +186,12 @@ def bergman_kernel_diag(domain: Domain, z: PointLike, N: int) -> KernelResult:
     kernel = float(sums[0])
     tail = 0.0
     last = np.bincount(table.degrees, weights=terms[0])[-5:]
-    if len(last) >= 2 and last[-1] > 0.0:
-        ratios = [
-            last[i + 1] / last[i]
-            for i in range(len(last) - 1)
-            if last[i] > 0.0 and last[i + 1] > 0.0
-        ]
-        if ratios:
-            r = max(ratios)
-            tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
+    if last[-1] > 0.0:
+        # each degree sum over the one below, 0 where that is 0: the sums are
+        # nonnegative, so no ratio of two positive sums loses the max to a 0
+        ratios = np.divide(last[1:], last[:-1], out=np.zeros(len(last) - 1), where=last[:-1] > 0.0)
+        r = max(ratios.tolist(), default=0.0)
+        tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
     return KernelResult(kernel, math.sqrt(kernel), tail)
 
 
@@ -209,12 +203,10 @@ def bergman_metric_numeric(
 ) -> float:
     """Metric from the log-kernel Hessian by central differences with step h.
 
-    Requires the base point to sit reach = 2 h |X| inside the domain.  The
-    Reinhardt catalog members are complete: if the moduli of z plus 2 reach
-    (2 is float slack) lie inside, so does every point within the reach, and
-    only points failing that call ``boundary_distance``.  The zero vector has
-    metric 0; otherwise a nonpositive quadratic form signals a truncation
-    degree too low for the point and raises.
+    Requires the four stencil points z +- h X and z +- i h X to lie in the
+    domain, where the series they are evaluated by converges; MembershipError
+    otherwise.  The zero vector has metric 0; otherwise a nonpositive quadratic
+    form signals a truncation degree too low for the point and raises.
     """
     coords = as_coords(z)
     vec = as_coords(X)
@@ -224,17 +216,14 @@ def bergman_metric_numeric(
     table = moment_table(domain, N)
     if not vec.any():
         return 0.0
-    reach = 2.0 * h * float(np.linalg.norm(vec))
-    screened = contains(domain, _modulus(coords) + 2.0 * reach)
-    if not screened and boundary_distance(domain, coords) < reach:
-        raise MembershipError(
-            f"point is within {reach:g} of the boundary, the reach of the difference stencil"
-        )
     rows = [coords]
     for unit in (1.0, 1j):
         step = h * unit * vec
         rows += [coords + step, coords - step]
-    logk = [math.log(k) for k in _kernel_rows(table, np.stack(rows))[1]]
+    stencil = np.stack(rows)
+    if not domain.contains_rows(stencil).all():
+        raise MembershipError(f"a point of the difference stencil with step {h:g} leaves the domain")
+    logk = [math.log(k) for k in _kernel_rows(table, stencil)[1]]
     quad_form = 0.0
     for i in (1, 3):
         quad_form += logk[i] + logk[i + 1] - 2.0 * logk[0]

@@ -156,7 +156,7 @@ def cmd_bergman(args) -> int:
             raise FlagError("--X", "vector dimension does not match the domain")
         try:
             beta = bergman_lab.bergman_metric_numeric(domain, z, X, N)
-        except MembershipError as exc:  # z too close to the boundary for the stencil
+        except MembershipError as exc:  # a stencil point z +- hX, z +- ihX leaves the domain
             raise FlagError("--z", str(exc))
         except ValueError as exc:  # a Hessian the truncated series leaves nonpositive
             raise FlagError("--truncation", str(exc))

@@ -83,8 +83,10 @@ def _atanh_stable(m, comp):
     m = np.asarray(m, dtype=float)
     comp = np.asarray(comp, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log1p(m) - 0.5 * np.log(comp)
-    return np.where(m >= OVERFLOW_EDGE, math.inf, vals)
+        vals = np.log1p(m, out=np.empty(m.shape))  # an array, even for a 0-d m
+        vals -= 0.5 * np.log(comp)
+    vals[m >= OVERFLOW_EDGE] = math.inf
+    return vals
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,8 @@ the complement for a member and minus the distance to the closure otherwise,
 so z is a member iff it is positive, and a cap B(c, r) is nonempty iff minus
 it at c is below r (over products, caps and ellipsoids c must lie inside).
 
-Points and tangent vectors are stored as tuples of Python complex numbers
+Points and tangent vectors reach the members as 1-d complex arrays from
+``as_coords``; only a ``ComplexPoint`` holds a tuple of Python complex numbers
 (double precision throughout; no arbitrary precision is attempted).
 """
 

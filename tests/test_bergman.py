@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab import bergman
+from invlab import bergman, geometry
 from invlab.bergman import (
     bergman_kernel_diag,
     bergman_metric_numeric,
@@ -25,6 +25,7 @@ from invlab.geometry import (
     ReinhardtEllipsoid,
     UnitDisc,
     UnsupportedDomainError,
+    _modulus,
     as_coords,
     boundary_distance,
     contains,
@@ -179,7 +180,7 @@ def test_errors():
     with pytest.raises(MembershipError):
         bergman_kernel_diag(UnitDisc(), 1.5, 10)
     with pytest.raises(MembershipError):
-        # closer to the boundary than twice the step
+        # the stencil point 0.9999 + 1e-3 lies outside
         bergman_metric_numeric(UnitDisc(), 0.9999, 1.0, 10, 1e-3)
 
 
@@ -421,25 +422,26 @@ def _oracle_kernel_value(table, coords):
 
 
 def _oracle_metric(domain, z, X, N, h):
-    """The metric with the exact boundary projection as its reach check and one
-    series evaluation per difference point (test oracle)."""
+    """The metric with scalar membership of each stencil point as its check and
+    one series evaluation per difference point (test oracle)."""
     coords = as_coords(z)
     vec = as_coords(X)
     if len(coords) != len(vec):
         raise DimensionMismatchError("point and vector dimensions differ")
     member_coords(domain, coords)
-    reach = 2.0 * h * float(np.linalg.norm(vec))
-    if boundary_distance(domain, coords) < reach:
-        raise MembershipError(f"point is within {reach:g} of the boundary")
     table = moment_table(domain, int(N))
+    if not vec.any():
+        return 0.0
+    steps = [h * unit * vec for unit in (1.0, 1j)]
+    if not all(contains(domain, coords + sign * step) for step in steps for sign in (1, -1)):
+        raise MembershipError(f"a stencil point of step {h:g} leaves the domain")
 
     def logk(p):
         return math.log(_oracle_kernel_value(table, p)[0])
 
     center = logk(coords)
     quad_form = 0.0
-    for unit in (1.0, 1j):
-        step = h * unit * vec
+    for step in steps:
         quad_form += logk(coords + step) + logk(coords - step) - 2.0 * center
     quad_form /= 4.0 * h * h
     if quad_form <= 0.0:
@@ -457,6 +459,40 @@ METRIC_DOMAINS = [
     ReinhardtEllipsoid((0.4, 1.0)),
     ReinhardtEllipsoid((1.0, 1.0)),
 ]
+
+
+def _reach_metric(domain, z, X, N, h):
+    """The metric under the former reach rule, a copy of its library body: the
+    point must lie 2 h |X| inside, by a test on its moduli pushed out by twice
+    that or else by the exact boundary projection (reference)."""
+    coords = as_coords(z)
+    vec = as_coords(X)
+    if len(coords) != len(vec):
+        raise DimensionMismatchError("point and vector dimensions differ")
+    member_coords(domain, coords)
+    table = moment_table(domain, N)
+    if not vec.any():
+        return 0.0
+    reach = 2.0 * h * float(np.linalg.norm(vec))
+    screened = contains(domain, _modulus(coords) + 2.0 * reach)
+    if not screened and boundary_distance(domain, coords) < reach:
+        raise MembershipError(
+            f"point is within {reach:g} of the boundary, the reach of the difference stencil"
+        )
+    rows = [coords]
+    for unit in (1.0, 1j):
+        step = h * unit * vec
+        rows += [coords + step, coords - step]
+    logk = [math.log(k) for k in bergman._kernel_rows(table, np.stack(rows))[1]]
+    quad_form = 0.0
+    for i in (1, 3):
+        quad_form += logk[i] + logk[i + 1] - 2.0 * logk[0]
+    quad_form /= 4.0 * h * h
+    if quad_form <= 0.0:
+        raise ValueError(
+            "log-kernel Hessian is not positive here; increase the truncation degree"
+        )
+    return math.sqrt(quad_form)
 
 
 def _level(domain, z):
@@ -503,43 +539,57 @@ def test_metric_and_kernel_match_per_point_oracle(domain):
         got = _outcome(bergman_metric_numeric, domain, z, X, N, h)
         assert got == want, (z, X, h)
         raises += isinstance(want, type)
+        # the same floats wherever the former reach rule accepted
+        former = _outcome(_reach_metric, domain, z, X, N, h)
+        if not isinstance(former, type):
+            assert type(got) is float and got.hex() == former.hex(), (z, X, h)
         kr = bergman_kernel_diag(domain, z, N)
         assert (kr.kernel_diag, kr.tail_estimate) == _oracle_kernel_value(table, z)
     assert 0 < raises < len(points)
 
 
-def _counting_boundary_distance(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("domain", METRIC_DOMAINS[3:], ids=repr)
+def test_no_metric_call_reaches_the_ellipsoid_projection(domain, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact boundary projection was called")
 
-    def counted(domain, z):
-        calls.append(z)
-        return boundary_distance(domain, z)
-
-    monkeypatch.setattr(bergman, "boundary_distance", counted)
-    return calls
-
-
-@pytest.mark.parametrize("domain", METRIC_DOMAINS, ids=repr)
-def test_deep_points_skip_the_boundary_projection(domain, monkeypatch):
-    calls = _counting_boundary_distance(monkeypatch)
-    rng = np.random.default_rng(77)
-    for z in _member_points(domain, rng, 25, max_level=0.3):
+    rng = np.random.default_rng([78, METRIC_DOMAINS.index(domain)])
+    p = np.asarray(domain.exponents)
+    cases = [(z, 1e-3) for z in _member_points(domain, rng, 10, max_level=0.3)]
+    for depth in (1e-3, 1e-6):
+        # level 1 - depth, shared between the coordinates by seeded weights
+        share = rng.dirichlet(np.ones(len(p)))
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, len(p)))
+        z = (share * (1.0 - depth)) ** (1.0 / (2.0 * p)) * phases
+        # a step of a third of the boundary distance: the former rule accepted
+        # it (reach 2 h < distance), but its screen failed and the projection decided
+        h = boundary_distance(domain, z) / 3.0
+        assert not contains(domain, _modulus(z) + 4.0 * h)
+        cases.append((z, h))
+    monkeypatch.setattr(geometry, "_ellipsoid_delta", refuse)
+    for z, h in cases:
         X = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
-        bergman_metric_numeric(domain, z, X / np.linalg.norm(X), 12, 1e-3)
-    assert calls == []
+        X /= np.linalg.norm(X)
+        got = bergman_metric_numeric(domain, z, X, 12, h)
+        assert 0.0 < got < math.inf
+        assert got == _oracle_metric(domain, z, X, 12, h)
 
 
-def test_reach_screen_falls_back_to_the_projection(monkeypatch):
-    calls = _counting_boundary_distance(monkeypatch)
-    # reach 0.29 against delta 0.3: the screen's point (1.28, 0.58) is outside
-    assert bergman_metric_numeric(Ball(2), (0.7, 0.0), (1.0, 0.0), 20, 0.145) > 0
-    assert len(calls) == 1
+def test_the_rule_is_membership_of_the_stencil_points():
+    # Ball(2) at (0.7, 0), 0.3 from the sphere, in the direction (1, 0)
+    z, X = (0.7, 0.0), (1.0, 0.0)
+    # step 0.155: the stencil reaches 0.855, inside, though the point is less
+    # than the former reach 2 h |X| = 0.31 from the boundary
+    got = bergman_metric_numeric(Ball(2), z, X, 20, 0.155)
+    assert got > 0.0 and got == _oracle_metric(Ball(2), z, X, 20, 0.155)
     with pytest.raises(MembershipError):
-        bergman_metric_numeric(Ball(2), (0.7, 0.0), (1.0, 0.0), 20, 0.155)
-    assert len(calls) == 2
+        _reach_metric(Ball(2), z, X, 20, 0.155)
+    # step 0.31 puts the stencil point 0.7 + 0.31 = 1.01 outside
+    with pytest.raises(MembershipError):
+        bergman_metric_numeric(Ball(2), z, X, 20, 0.31)
 
 
-def test_metric_rejects_non_reinhardt_domains_before_the_reach_check():
+def test_metric_rejects_non_reinhardt_domains_before_the_stencil_check():
     cap = BallIntersection(UnitDisc(), ComplexPoint((0j,)), 0.5)
     for domain, z in ((cap, 0.4999), (HalfPlane(), 1e-4j), (HalfPlane(), 1j)):
         with pytest.raises(UnsupportedDomainError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab.distances import (
+    OVERFLOW_EDGE,
     GapDecomposition,
     caratheodory_distance,
     disc_distance_batch,
@@ -226,6 +227,24 @@ def test_complement_identity_resolution():
 def test_overflow_to_infinity_marker():
     v = kobayashi_distance(HalfPlane(), 1e-16j, 0.9j)
     assert v.value == math.inf
+
+
+def _atanh_where(m, comp):
+    """atanh m as log1p(m) - log(comp) / 2, marked +inf by np.where (reference)."""
+    m, comp = np.asarray(m, dtype=float), np.asarray(comp, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log1p(m) - 0.5 * np.log(comp)
+    return np.where(m >= OVERFLOW_EDGE, math.inf, vals)
+
+
+def test_atanh_stable_keeps_the_bits_of_the_where_form():
+    rng = np.random.default_rng(54)
+    m = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, OVERFLOW_EDGE, 1.0, math.nan]])
+    comp = np.concatenate([rng.uniform(0.0, 1.0, 200), [1.0, 2e-15, 0.0, 0.5]])
+    for args in ((m, comp), (m[:1], comp[:1]), (0.3, 0.91), (np.float64(1.0), 0.0)):
+        got, want = _atanh_stable(*args), _atanh_where(*args)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ball_distance_properties():

@@ -490,8 +490,7 @@ def test_numpy_is_the_only_runtime_dependency():
         "bergman_metric_numeric(e, (0.3, 0.2j), (1.0, 0.5), 20, 1e-3)\n"
         "assert 0.0 < boundary_distance(e, (0.3, 0.2j)) < 1.0\n"
         "assert 0.0 < boundary_distance(ReinhardtEllipsoid((0.75, 1.5, 3.0)), (0.1, 0j, 0.5j)) < 1.0\n"
-        "# reach 0.2 against delta 0.3: the screen's point (1.1, 0.4) is outside, so\n"
-        "# the reach check takes the projection\n"
+        "# step 0.1 at a point 0.3 from the boundary: the stencil check is membership\n"
         "assert bergman_metric_numeric(e, (0.7, 0.0), (1.0, 0.0), 20, 0.1) > 0.0\n"
         "prod = Product((e, HalfPlane()))\n"
         "assert contains(prod, (0.3, 0.2j, 1j))\n"
