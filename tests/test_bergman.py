@@ -548,11 +548,29 @@ def test_metric_and_kernel_match_per_point_oracle(domain):
     assert 0 < raises < len(points)
 
 
+def _refuse(*args):
+    raise AssertionError("the exact boundary projection was called")
+
+
+@pytest.mark.parametrize("domain", METRIC_DOMAINS, ids=repr)
+def test_deep_points_skip_the_boundary_projection(domain, monkeypatch):
+    rng = np.random.default_rng(77)
+    points = _member_points(domain, rng, 25, max_level=0.3)
+    # raising=False: bergman no longer imports it, and a re-import would be caught
+    monkeypatch.setattr(bergman, "boundary_distance", _refuse, raising=False)
+    monkeypatch.setattr(geometry, "boundary_distance", _refuse)
+    if isinstance(domain, ReinhardtEllipsoid):
+        monkeypatch.setattr(geometry, "_ellipsoid_delta", _refuse)
+    for z in points:
+        X = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+        X /= np.linalg.norm(X)
+        got = bergman_metric_numeric(domain, z, X, 12, 1e-3)
+        assert 0.0 < got < math.inf
+        assert got == _oracle_metric(domain, z, X, 12, 1e-3)
+
+
 @pytest.mark.parametrize("domain", METRIC_DOMAINS[3:], ids=repr)
 def test_no_metric_call_reaches_the_ellipsoid_projection(domain, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the exact boundary projection was called")
-
     rng = np.random.default_rng([78, METRIC_DOMAINS.index(domain)])
     p = np.asarray(domain.exponents)
     cases = [(z, 1e-3) for z in _member_points(domain, rng, 10, max_level=0.3)]
@@ -566,7 +584,7 @@ def test_no_metric_call_reaches_the_ellipsoid_projection(domain, monkeypatch):
         h = boundary_distance(domain, z) / 3.0
         assert not contains(domain, _modulus(z) + 4.0 * h)
         cases.append((z, h))
-    monkeypatch.setattr(geometry, "_ellipsoid_delta", refuse)
+    monkeypatch.setattr(geometry, "_ellipsoid_delta", _refuse)
     for z, h in cases:
         X = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
         X /= np.linalg.norm(X)
