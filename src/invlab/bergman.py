@@ -207,7 +207,10 @@ def bergman_metric_numeric(
     domain, where the series they are evaluated by converges; MembershipError
     otherwise.  The zero vector has metric 0; otherwise a nonpositive quadratic
     form signals a truncation degree too low for the point and raises.
+    The step h must be finite and positive; ValueError otherwise.
     """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"stencil step h must be finite and positive, got {h!r}")
     coords = as_coords(z)
     vec = as_coords(X)
     if len(coords) != len(vec):

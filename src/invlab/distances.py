@@ -32,6 +32,14 @@ Sweep tables take the term sum from ``gap_terms_batch`` alone.
 Every planar formula takes its moduli |z - w|, |z - conj w|, |1 - z w| and
 |1 - z conj w| as inputs, each formed once per call; ``localization_gap``
 validates its points, then makes one pass: moduli, terms, k_local, k_global.
+That pass runs on numpy scalars and returns the batch cores' bits: complex
+subtraction and conjugation are exact in scalar math, while the complex
+modulus, product and logarithms stay ufunc calls (``np.abs``, ``np.multiply``,
+``np.log1p``, ``np.log``), whose scalar forms round otherwise.
+
+Where 4 Im z Im w is below the smallest normal double (as it is wherever
+|z - conj w|^2 underflows, which made the complement 0/0), ``_halfplane_parts``
+forms the complement as (2 Im z / |z - conj w|)(2 Im w / |z - conj w|).
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .geometry import (
 )
 
 OVERFLOW_EDGE = 1.0 - 1e-15
+TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,13 @@ def _atanh_stable(m, comp):
     return vals
 
 
+def _atanh_scalar(m, comp) -> float:
+    """``_atanh_stable`` of one numpy-scalar pair, same bits, without its arrays."""
+    if m < OVERFLOW_EDGE and comp > 0:
+        return float(np.log1p(m) - 0.5 * np.log(comp))
+    return float(_atanh_stable(m, comp))
+
+
 # --------------------------------------------------------------------------
 # batch cores (plain complex arrays, no validation)
 # --------------------------------------------------------------------------
@@ -107,7 +123,13 @@ def _moduli(z, w):
 
 
 def _halfplane_parts(z, w, zw, zwbar):
-    return zw / zwbar, 4.0 * z.imag * w.imag / zwbar**2
+    num, sq = 4.0 * z.imag * w.imag, zwbar**2
+    low = num < TINY  # num <= |z - conj w|^2: this takes every underflowing square
+    # .any() of a numpy scalar goes through an array (~2 us): test it directly
+    if low.any() if low.shape else low:
+        num = np.where(low, (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar), num)
+        sq = np.where(low, 1.0, sq)
+    return zw / zwbar, num / sq
 
 
 def _disc_complement(z, w, d2):
@@ -233,6 +255,14 @@ def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> Distanc
     return kobayashi_distance(domain, z, w)
 
 
+def _scalar_pair(z: complex, w: complex):
+    """(z, w, conj w, |z - w|, |z - conj w|) on numpy scalars, the bits of
+    ``_halfplane_moduli`` on 0-d arrays."""
+    z, w = np.complex128(z), np.complex128(w)
+    wb = w.conjugate()
+    return z, w, wb, np.abs(z - w), np.abs(z - wb)
+
+
 def _distinct(z, w):
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -263,16 +293,20 @@ def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDeco
     difference of the two distances; |sum - difference| is stored as the
     residual so the two routes certify each other.  For radius < 1 the points
     rescale by 1/radius (the half-plane distance is scale invariant).
+    The pass runs on numpy scalars, with the batch cores' bits.
     """
     dom = HalfDiscScaled(radius)
     z = complex(member_coords(dom, z, "z")[0])
     w = complex(member_coords(dom, w, "w")[0])
-    zs, ws, zw, zwbar, d1, d2 = _moduli(z / radius, w / radius)
+    zs, ws, wsb, zw, zwbar = _scalar_pair(z / radius, w / radius)
+    d1, d2 = np.abs(1.0 - np.multiply(zs, ws)), np.abs(1.0 - np.multiply(zs, wsb))
     tb, ts = (float(t) for t in _gap_terms(zs, ws, zw, zwbar, d1, d2))
     halfplane = _halfplane_parts(zs, ws, zw, zwbar)
-    k_local = float(_atanh_stable(*_halfdisc_parts(zs, ws, *halfplane, d1, d2)))
-    # at radius 1 the scaled pair is the pair itself
-    k_global = float(_atanh_stable(*halfplane) if radius == 1.0 else halfplane_distance_batch(z, w))
+    k_local = _atanh_scalar(*_halfdisc_parts(zs, ws, *halfplane, d1, d2))
+    if radius != 1.0:  # the half-plane distance is that of the unscaled pair
+        z, w, _, zw, zwbar = _scalar_pair(z, w)
+        halfplane = _halfplane_parts(z, w, zw, zwbar)
+    k_global = _atanh_scalar(*halfplane)
     gap = tb + ts
     residual = abs(gap - (k_local - k_global))
     return GapDecomposition(gap, tb, ts, residual, k_local, k_global)

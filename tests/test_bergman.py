@@ -612,3 +612,9 @@ def test_metric_rejects_non_reinhardt_domains_before_the_stencil_check():
     for domain, z in ((cap, 0.4999), (HalfPlane(), 1e-4j), (HalfPlane(), 1j)):
         with pytest.raises(UnsupportedDomainError):
             bergman_metric_numeric(domain, z, 1.0, 10, 1e-3)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_metric_numeric_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="finite and positive"):
+        bergman_metric_numeric(UnitDisc(), 0.5, 1.0, 50, h)
