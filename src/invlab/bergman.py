@@ -211,11 +211,10 @@ def bergman_metric_numeric(
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"stencil step h must be finite and positive, got {h!r}")
-    coords = as_coords(z)
+    coords = member_coords(domain, z)
     vec = as_coords(X)
     if len(coords) != len(vec):
         raise DimensionMismatchError("point and vector dimensions differ")
-    member_coords(domain, coords)
     table = moment_table(domain, N)
     if not vec.any():
         return 0.0

@@ -121,10 +121,7 @@ def cmd_geodesic(args) -> int:
             solver = geodesics.SolverConfig(node_count=args.nodes, refinement_levels=levels)
         except ValueError as exc:
             raise FlagError(flag, str(exc))
-    try:
-        curve, length = geodesics.minimize_curve(density, z, w, solver)
-    except UnsupportedDomainError as exc:
-        raise FlagError("--domain", str(exc))
+    curve, length = geodesics.minimize_curve(density, z, w, solver)
     oracle = _geodesic_oracle(domain, args.metric)
     epsilon = (
         geodesics.epsilon_certificate(curve, density, oracle).epsilon

@@ -17,8 +17,12 @@ atanh is evaluated as log(1 + m) - log(1 - m^2) / 2, with the complement
 
 (The half-plane complement carries |z - conj w|^2 in the denominator, the
 form consistent with m = |z - w| / |z - conj w|; this is pinned by the
-brute-force identity test in the suite.)  Ratios within 1e-15 of 1 overflow
-to the +inf marker uniformly.
+brute-force identity test in the suite.)  It is evaluated as
+(2 Im z / |z - conj w|)(2 Im w / |z - conj w|), whose factors lie in (0, 2):
+no square is formed, so no member pair gives 0/0 or inf/inf (up to moduli of
+half the largest double), and the bits do not move under z, w -> 2^k z, 2^k w
+while the moduli stay normal.  Ratios within 1e-15 of 1 overflow to the +inf
+marker uniformly.
 
 The localization gap on the half-disc splits exactly into two terms:
 
@@ -36,10 +40,6 @@ That pass runs on numpy scalars and returns the batch cores' bits: complex
 subtraction and conjugation are exact in scalar math, while the complex
 modulus, product and logarithms stay ufunc calls (``np.abs``, ``np.multiply``,
 ``np.log1p``, ``np.log``), whose scalar forms round otherwise.
-
-Where 4 Im z Im w is below the smallest normal double (as it is wherever
-|z - conj w|^2 underflows, which made the complement 0/0), ``_halfplane_parts``
-forms the complement as (2 Im z / |z - conj w|)(2 Im w / |z - conj w|).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .geometry import (
 )
 
 OVERFLOW_EDGE = 1.0 - 1e-15
-TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -123,28 +122,17 @@ def _moduli(z, w):
 
 
 def _halfplane_parts(z, w, zw, zwbar):
-    num, sq = 4.0 * z.imag * w.imag, zwbar**2
-    low = num < TINY  # num <= |z - conj w|^2: this takes every underflowing square
-    # .any() of a numpy scalar goes through an array (~2 us): test it directly
-    if low.any() if low.shape else low:
-        num = np.where(low, (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar), num)
-        sq = np.where(low, 1.0, sq)
-    return zw / zwbar, num / sq
+    return zw / zwbar, (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar)
 
 
 def _disc_complement(z, w, d2):
     return (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2) / d2**2
 
 
-def _disc_parts(z, w):
-    """(m, 1 - m^2) on the unit disc, each modulus formed once."""
-    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    d2 = np.abs(1.0 - z * np.conj(w))
-    return np.abs(z - w) / d2, _disc_complement(z, w, d2)
-
-
 def _halfdisc_parts(z, w, m, comp, d1, d2):
-    """(m, 1 - m^2) on the unit upper half-disc from the half-plane's m, comp."""
+    """(m, 1 - m^2) on the unit upper half-disc from the half-plane's m, comp:
+    the ratio transfers by the factor |1 - z w| / |1 - z conj w|, and the
+    complement picks up the disc complement of the pair."""
     return d1 / d2 * m, comp * _disc_complement(z, w, d2)
 
 
@@ -156,46 +144,20 @@ def _gap_terms(z, w, zw, zwbar, d1, d2):
     return t_boundary, t_separation
 
 
-def halfplane_ratio(z, w):
-    """m(z, w) = |z - w| / |z - conj w| on the upper half-plane."""
-    return _halfplane_parts(*_halfplane_moduli(z, w))[0]
-
-
-def halfplane_complement(z, w):
-    """1 - m(z, w)^2 in cancellation-free form: 4 Im z Im w / |z - conj w|^2."""
-    return _halfplane_parts(*_halfplane_moduli(z, w))[1]
-
-
 def halfplane_distance_batch(z, w):
     return _atanh_stable(*_halfplane_parts(*_halfplane_moduli(z, w)))
 
 
-def disc_ratio(z, w):
-    return _disc_parts(z, w)[0]
-
-
-def disc_complement(z, w):
-    return _disc_parts(z, w)[1]
-
-
 def disc_distance_batch(z, w):
-    return _atanh_stable(*_disc_parts(z, w))
-
-
-def halfdisc_ratio_parts(z, w):
-    """(m, 1 - m^2) for the unit upper half-disc, both in stable form.
-
-    The ratio transfers from the half-plane by the factor
-    |1 - z w| / |1 - z conj w|, and the complement picks up the disc
-    complement of the pair on top of the half-plane complement.
-    """
-    z, w, zw, zwbar, d1, d2 = _moduli(z, w)
-    return _halfdisc_parts(z, w, *_halfplane_parts(z, w, zw, zwbar), d1, d2)
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    d2 = np.abs(1.0 - z * np.conj(w))
+    return _atanh_stable(np.abs(z - w) / d2, _disc_complement(z, w, d2))
 
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):
     z, w = np.asarray(z, dtype=complex) / radius, np.asarray(w, dtype=complex) / radius
-    return _atanh_stable(*halfdisc_ratio_parts(z, w))
+    z, w, zw, zwbar, d1, d2 = _moduli(z, w)
+    return _atanh_stable(*_halfdisc_parts(z, w, *_halfplane_parts(z, w, zw, zwbar), d1, d2))
 
 
 def gap_terms_batch(z, w):

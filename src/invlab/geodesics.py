@@ -298,10 +298,10 @@ def minimize_curve(
 @lru_cache(maxsize=64)
 def _dyadic_pairs(count: int) -> np.ndarray:
     """Index pairs (i, i + 2^j), O(count log count) of them spanning all scales,
-    as a read-only (P, 2) array ordered by offset, then by i."""
+    as a read-only (P, 2) array ordered by offset, then by i; a polyline's
+    count >= 2 gives P >= 1."""
     offsets = [1 << j for j in range((count - 1).bit_length())]
     pairs = np.array([(i, i + o) for o in offsets for i in range(count - o)], dtype=int)
-    pairs = pairs.reshape(-1, 2)
     pairs.flags.writeable = False
     return pairs
 
@@ -322,8 +322,6 @@ def epsilon_certificate(
     seg = _segment_lengths(density, nodes[:-1], nodes[1:])
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
     pairs = _dyadic_pairs(k)
-    if pairs.size == 0:
-        return EpsilonCertificate(0.0, (0, 0))
     sub_lengths = cumulative[pairs[:, 1]] - cumulative[pairs[:, 0]]
     dists = np.asarray(distance_oracle(nodes[pairs[:, 0]], nodes[pairs[:, 1]]))
     deficits = sub_lengths - dists

@@ -50,12 +50,10 @@ class FinslerDensity:
 
     def evaluate(self, z: PointLike, X: VectorLike) -> float:
         """Scalar evaluation with membership validation."""
-        zc = as_coords(z)
+        zc = as_coords(z) if self.domain is None else member_coords(self.domain, z)
         Xc = as_coords(X)
         if len(zc) != len(Xc):
             raise DimensionMismatchError("point and vector dimensions differ")
-        if self.domain is not None:
-            member_coords(self.domain, zc)
         return float(self.core(zc[None, :], Xc[None, :])[0])
 
     def evaluate_batch(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -15,9 +15,7 @@ from invlab.distances import (
     gap_term_separation_leading,
     gap_terms_batch,
     halfdisc_distance_batch,
-    halfdisc_ratio_parts,
     halfplane_distance_batch,
-    halfplane_ratio,
     _atanh_stable,
     ball_distance_batch,
     kobayashi_distance,
@@ -37,12 +35,17 @@ from invlab.geometry import (
     contains,
 )
 from invlab.sampling import ball_points, halfdisc_pairs, halfplane_points
+from test_shared_moduli import _halfdisc_core, _halfplane_core
+
+
+def _halfplane_ratio(z, w):
+    return _halfplane_core(z, w)[0]
 
 
 def test_halfplane_ratio_examples():
-    assert halfplane_ratio(1j, 2j) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert halfplane_ratio(0.3 + 0.7j, 0.3 + 0.7j) == 0.0
-    assert halfplane_ratio(0.5j, 0.25j) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert _halfplane_ratio(1j, 2j) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert _halfplane_ratio(0.3 + 0.7j, 0.3 + 0.7j) == 0.0
+    assert _halfplane_ratio(0.5j, 0.25j) == pytest.approx(1.0 / 3.0, abs=1e-15)
     # the validated route refuses boundary and non-finite points on either side
     with pytest.raises(MembershipError):
         kobayashi_distance(HalfPlane(), 1.0, 1j)
@@ -85,10 +88,10 @@ def test_halfdisc_ratio_is_pullback_of_halfplane_ratio():
 
     f = conformal.HalfDiscToHalfPlane()
     z, w = halfdisc_pairs(13, 300, 0.9)
-    m_direct = halfdisc_ratio_parts(z, w)[0]
+    m_direct = _halfdisc_core(z, w)[0]
     fz = np.array([conformal.apply(f, zz) for zz in z])
     fw = np.array([conformal.apply(f, ww) for ww in w])
-    m_transfer = halfplane_ratio(fz, fw)
+    m_transfer = _halfplane_ratio(fz, fw)
     np.testing.assert_allclose(m_direct, m_transfer, rtol=1e-11)
 
 
@@ -112,8 +115,8 @@ def test_gap_term_boundary_matches_ratio_route():
     tb = gap_terms_batch(z, w)[0]
     fz = f.image(z)
     fw = f.image(w)
-    m_loc = halfplane_ratio(fz, fw)
-    m_glob = halfplane_ratio(z, w)
+    m_loc = _halfplane_ratio(fz, fw)
+    m_glob = _halfplane_ratio(z, w)
     np.testing.assert_allclose(tb, np.log((1 + m_loc) / (1 + m_glob)), atol=1e-12)
 
 
@@ -217,7 +220,7 @@ def test_membership_enforced():
 def test_complement_identity_resolution():
     """The complement of the half-plane ratio carries |z - conj w|^2, not |1 - z conj w|^2."""
     z, w = halfdisc_pairs(29, 400, 0.9)
-    m = halfplane_ratio(z, w)
+    m = _halfplane_ratio(z, w)
     correct = 4.0 * z.imag * w.imag / np.abs(z - np.conj(w)) ** 2
     np.testing.assert_allclose(1.0 - m**2, correct, atol=1e-12)
     wrong = 4.0 * z.imag * w.imag / np.abs(1.0 - z * np.conj(w)) ** 2

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from invlab import geometry
-from invlab.distances import _atanh_stable, disc_complement, disc_ratio, distance_batch
+from invlab.distances import _atanh_stable, disc_distance_batch, distance_batch
 from invlab.geometry import (
     Ball,
     Polydisc,
@@ -142,8 +142,7 @@ def _ref_polydisc(radii):
         return _masked(vals, np.all(s > 0.0, axis=1))
 
     def distance(Z, W):
-        per = _atanh_stable(disc_ratio(Z / r, W / r), disc_complement(Z / r, W / r))
-        return np.max(per, axis=1)
+        return np.max(disc_distance_batch(Z / r, W / r), axis=1)
 
     def signed(coords):
         gaps = [rj - abs(c) for c, rj in zip(coords, radii)]

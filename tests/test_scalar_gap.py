@@ -1,13 +1,13 @@
-"""The scalar gap pass on numpy scalars, and the half-plane complement's
-underflow repair.
+"""The scalar gap pass on numpy scalars, and the half-plane complement across
+the double range.
 
 ``localization_gap`` makes its one pass on numpy scalars; the property test
 checks it against the 0-d array reference of ``test_shared_moduli`` bit for
 bit, warnings included, on pairs drawn from the interior and within 1e-12 of
-the segment and of the arc, at radii in (0, 1].  Where 4 Im z Im w leaves the
-normal range the complement is formed otherwise (and the reference gives
-0/0), so the property test draws above it and the regression tests below
-cover the repair.
+the segment and of the arc, at radii in (0, 1].  The complement is formed as
+(2 Im z / |z - conj w|)(2 Im w / |z - conj w|), which forms no square: the
+tests below check it where 4 Im z Im w or |z - conj w|^2 would under- or
+overflow, and check that scaling both points by 2^k moves no bit.
 """
 
 import cmath
@@ -15,6 +15,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,15 +25,14 @@ from invlab.distances import (
     OVERFLOW_EDGE,
     _atanh_scalar,
     _atanh_stable,
-    halfplane_complement,
+    halfplane_distance_batch,
     kobayashi_distance,
     localization_gap,
 )
 from invlab.geometry import HalfDiscScaled, HalfPlane, contains
-from test_shared_moduli import _fields, _recorded, _ref_localization_gap, _same
+from test_shared_moduli import _fields, _halfplane_core, _recorded, _ref_localization_gap, _same
 
 EPS = sys.float_info.epsilon
-TINY = sys.float_info.min
 
 _angle = st.floats(1e-6, math.pi - 1e-6)
 _offset = st.floats(1e-15, 1e-12)
@@ -49,7 +49,6 @@ def test_scalar_gap_matches_the_array_reference_bit_for_bit(radius, a, b):
     z, w = radius * a, radius * b
     domain = HalfDiscScaled(radius)
     assume(contains(domain, z) and contains(domain, w))
-    assume(4.0 * z.imag * w.imag >= TINY)  # the repair's range has its own tests
     got, got_warned = _recorded(localization_gap, z, w, radius)
     want, want_warned = _recorded(_ref_localization_gap, z, w, radius)
     assert _same(_fields(got), _fields(want))
@@ -68,10 +67,11 @@ def test_scalar_atanh_keeps_the_bits_of_the_array_form():
 
 
 # --------------------------------------------------------------------------
-# the half-plane complement below the normal range
+# the half-plane complement across the double range
 # --------------------------------------------------------------------------
-# |z - conj w|^2 underflows to 0 below |z - conj w| ~ 1.5e-154, and with it
-# 4 Im z Im w: the complement was 0/0, a NaN and an "invalid value" warning.
+# Formed as 4 Im z Im w / |z - conj w|^2, the complement is 0/0 where the
+# square underflows (|z - conj w| below ~1.5e-154) and inf/inf where it
+# overflows (above ~1.3e154): a NaN and a RuntimeWarning either way.
 
 def _quiet(call, *args):
     with warnings.catch_warnings():
@@ -87,19 +87,44 @@ def test_distance_survives_the_underflow_of_the_complement(domain):
     assert d == pytest.approx(math.atanh(1.0 / 3.0), rel=4 * EPS, abs=0.0)
 
 
+@pytest.mark.parametrize("z, w, m", [(1e200j, 2e200j, 1.0 / 3.0), (1e160j, 3e160j, 0.5)])
+def test_distance_survives_the_overflow_of_the_complement(z, w, m):
+    d = _quiet(kobayashi_distance, HalfPlane(), z, w).value
+    assert d == pytest.approx(math.atanh(m), rel=4 * EPS, abs=0.0)
+
+
 def test_gap_survives_the_underflow_of_the_complement():
     g = _quiet(localization_gap, 0.3 + 1e-300j, 0.3 + 1e-300j)
     # z = w: both distances, both terms and the residual are 0
     assert all(math.isfinite(v) and abs(v) <= 4 * EPS for v in _fields(g))
 
 
-def test_underflow_repair_leaves_the_other_rows_alone():
-    z = np.array([0.3 + 1e-170j, 0.5j, 0.2 + 1e-161j, -0.4 + 0.3j])
-    w = np.array([0.3 + 2e-170j, 0.25j, 0.1 + 1e-148j, 0.1 + 0.6j])
-    comp = _quiet(halfplane_complement, z, w)
-    zn, wn = z[[1, 3]], w[[1, 3]]
-    assert comp[[1, 3]].tobytes() == (4.0 * zn.imag * wn.imag / np.abs(zn - np.conj(wn)) ** 2).tobytes()
-    # 4 Im z Im w = 4e-309 leaves the normal range, |z - conj w|^2 = 0.01 does
-    # not; the reference scales Im z by 2^200 (exactly) to stay normal
-    exact = [8.0 / 9.0, 4.0 * (1e-161 * 2.0**200) * 1e-148 / abs(z[2] - w[2].conjugate()) ** 2 * 2.0**-200]
-    np.testing.assert_allclose(comp[[0, 2]], exact, rtol=4 * EPS)
+def test_complement_is_within_4_eps_of_exact_across_the_range():
+    # rows 0 and 2 take 4 Im z Im w below the normal range (4e-340, 4e-309),
+    # rows 4 and 5 take |z - conj w|^2 past the largest double
+    z = np.array([0.3 + 1e-170j, 0.5j, 0.2 + 1e-161j, -0.4 + 0.3j, 1e200j, 1e160j])
+    w = np.array([0.3 + 2e-170j, 0.25j, 0.1 + 1e-148j, 0.1 + 0.6j, 2e200j, 3e160j])
+    comp = _quiet(_halfplane_core, z, w)[1]
+    with mpmath.workdps(50):
+        exact = [
+            float(4 * mpmath.mpf(a.imag) * mpmath.mpf(b.imag) / abs(mpmath.mpc(a) - mpmath.conj(b)) ** 2)
+            for a, b in zip(z.tolist(), w.tolist())
+        ]
+    np.testing.assert_allclose(comp, exact, rtol=4 * EPS, atol=0.0)
+
+
+_scale = st.floats(2.0**-20, 2.0**20)
+_re = st.one_of(st.just(0.0), _scale, _scale.map(lambda x: -x))
+HALFPLANE_POINTS = st.builds(complex, _re, _scale)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-990, 990), HALFPLANE_POINTS, HALFPLANE_POINTS)
+def test_halfplane_distance_is_bit_identical_under_scaling_by_powers_of_two(k, z, w):
+    # scaling by 2^k is exact while every modulus stays normal: |z - w| is 0 or
+    # at least 2^-30, the coordinates 0 or in [2^-20, 2^20]
+    assume(z == w or abs(z - w) >= 2.0**-30)
+    z, w = np.array([z]), np.array([w])
+    want = halfplane_distance_batch(z, w)
+    got = _quiet(halfplane_distance_batch, math.ldexp(1.0, k) * z, math.ldexp(1.0, k) * w)
+    assert got.tobytes() == want.tobytes()

@@ -2,10 +2,11 @@
 |1 - z conj w| are each formed once per call, and every core returns the bits
 it returned when each ratio and complement formed its own.
 
-The reference copies below are those earlier bodies.  They are checked on
-seeded batches and on scalar calls: interior pairs, pairs within 1e-12 of the
-real segment, and pairs within 1e-12 of the arc, where the separation term
-gives NaN with a RuntimeWarning, at radius 1 and 0.3.
+The reference copies below are those earlier bodies, with the half-plane
+complement in its product form (2 Im z / |z - conj w|)(2 Im w / |z - conj w|).
+They are checked on seeded batches and on scalar calls: interior pairs, pairs
+within 1e-12 of the real segment, and pairs within 1e-12 of the arc, where the
+separation term gives NaN with a RuntimeWarning, at radius 1 and 0.3.
 
 Batches of 16384 complex rows (256 KiB) and more are where numpy elides
 temporaries: there ``z * np.conj(w)`` multiplies into the conjugate's buffer
@@ -42,7 +43,8 @@ def _ref_halfplane_ratio(z, w):
 def _ref_halfplane_complement(z, w):
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return 4.0 * z.imag * w.imag / np.abs(z - np.conj(w)) ** 2
+    zwbar = np.abs(z - np.conj(w))
+    return (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar)
 
 
 def _ref_halfplane_distance_batch(z, w):
@@ -176,21 +178,39 @@ def batch(request):
 # --------------------------------------------------------------------------
 # batch cores
 # --------------------------------------------------------------------------
+# the private cores the batch distances call: (m, 1 - m^2) of the half-plane
+# and of the half-disc, and the disc complement
+
+def _halfplane_core(z, w):
+    return distances._halfplane_parts(*distances._halfplane_moduli(z, w))
+
+
+def _ref_halfplane_parts(z, w):
+    return _ref_halfplane_ratio(z, w), _ref_halfplane_complement(z, w)
+
+
+def _disc_complement_core(z, w):
+    z, w, *_, d2 = distances._moduli(z, w)
+    return distances._disc_complement(z, w, d2)
+
+
+def _halfdisc_core(z, w):
+    z, w, zw, zwbar, d1, d2 = distances._moduli(z, w)
+    return distances._halfdisc_parts(z, w, *distances._halfplane_parts(z, w, zw, zwbar), d1, d2)
+
 
 def test_planar_cores_match_their_reference_bit_for_bit(batch):
     z, w, radius = batch
     flip = np.random.default_rng(7).random(len(z)) < 0.5
     zd, wd = np.where(flip, np.conj(z), z), np.where(flip[::-1], np.conj(w), w)
     pairs = [
-        (distances.halfplane_ratio, _ref_halfplane_ratio, (z, w)),
-        (distances.halfplane_complement, _ref_halfplane_complement, (z, w)),
+        (_halfplane_core, _ref_halfplane_parts, (z, w)),
         (distances.halfplane_distance_batch, _ref_halfplane_distance_batch, (z, w)),
-        (distances.disc_ratio, _ref_disc_ratio, (zd, wd)),
-        (distances.disc_complement, _ref_disc_complement, (zd, wd)),
+        (_disc_complement_core, _ref_disc_complement, (zd, wd)),
         (distances.disc_distance_batch, _ref_disc_distance_batch, (zd, wd)),
         (distances.halfdisc_distance_batch, _ref_halfdisc_distance_batch, (z, w, radius)),
         (distances.gap_terms_batch, _ref_gap_terms_batch, (z / radius, w / radius)),
-        (distances.halfdisc_ratio_parts, _ref_halfdisc_ratio_parts, (z / radius, w / radius)),
+        (_halfdisc_core, _ref_halfdisc_ratio_parts, (z / radius, w / radius)),
     ]
     with np.errstate(divide="ignore", invalid="ignore"):
         for core, ref, args in pairs:
