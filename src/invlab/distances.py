@@ -125,7 +125,7 @@ def _halfplane_parts(z, w, zw, zwbar):
     return zw / zwbar, (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar)
 
 
-def _disc_complement(z, w, d2):
+def _disc_comp(z, w, d2):
     return (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2) / d2**2
 
 
@@ -133,7 +133,7 @@ def _halfdisc_parts(z, w, m, comp, d1, d2):
     """(m, 1 - m^2) on the unit upper half-disc from the half-plane's m, comp:
     the ratio transfers by the factor |1 - z w| / |1 - z conj w|, and the
     complement picks up the disc complement of the pair."""
-    return d1 / d2 * m, comp * _disc_complement(z, w, d2)
+    return d1 / d2 * m, comp * _disc_comp(z, w, d2)
 
 
 def _gap_terms(z, w, zw, zwbar, d1, d2):
@@ -151,7 +151,7 @@ def halfplane_distance_batch(z, w):
 def disc_distance_batch(z, w):
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     d2 = np.abs(1.0 - z * np.conj(w))
-    return _atanh_stable(np.abs(z - w) / d2, _disc_complement(z, w, d2))
+    return _atanh_stable(np.abs(z - w) / d2, _disc_comp(z, w, d2))
 
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):

@@ -189,9 +189,9 @@ def _ref_halfplane_parts(z, w):
     return _ref_halfplane_ratio(z, w), _ref_halfplane_complement(z, w)
 
 
-def _disc_complement_core(z, w):
+def _disc_comp_core(z, w):
     z, w, *_, d2 = distances._moduli(z, w)
-    return distances._disc_complement(z, w, d2)
+    return distances._disc_comp(z, w, d2)
 
 
 def _halfdisc_core(z, w):
@@ -206,7 +206,7 @@ def test_planar_cores_match_their_reference_bit_for_bit(batch):
     pairs = [
         (_halfplane_core, _ref_halfplane_parts, (z, w)),
         (distances.halfplane_distance_batch, _ref_halfplane_distance_batch, (z, w)),
-        (_disc_complement_core, _ref_disc_complement, (zd, wd)),
+        (_disc_comp_core, _ref_disc_complement, (zd, wd)),
         (distances.disc_distance_batch, _ref_disc_distance_batch, (zd, wd)),
         (distances.halfdisc_distance_batch, _ref_halfdisc_distance_batch, (z, w, radius)),
         (distances.gap_terms_batch, _ref_gap_terms_batch, (z / radius, w / radius)),
