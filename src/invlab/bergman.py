@@ -10,9 +10,11 @@ ellipsoids, kept here, through lgamma where Gamma would leave the double
 range), and a table is one array-mode ``monomial_moment`` call over a
 multi-index grid that every table of that dimension and degree shares.
 
-The metric is the square root of the log-kernel complex Hessian quadratic
-form, evaluated by second-order central differences in the X and iX
-directions with step h, all five points in one series batch.  This numeric
+The kernel's tail estimate continues geometrically the largest ratio of
+consecutive degree sums among the top five degrees.  The metric is the square
+root of the log-kernel complex Hessian quadratic form, by second-order central
+differences in the X and iX directions with step h, all five points in one
+call of ``_kernel_rows``, the kernel's own series core.  This numeric
 route is deliberately independent of the closed-form metrics of the catalog
 classes, so the two certify each other.  The series is evaluated only at
 members: the four stencil points z +- h X, z +- i h X must lie inside, and one
@@ -129,20 +131,23 @@ class MomentTable:
     alphas: np.ndarray = field(compare=False, repr=False)
     inv_moments: np.ndarray = field(compare=False, repr=False)
     degrees: np.ndarray = field(compare=False, repr=False)
+    top: int = field(compare=False, repr=False)  # first row of the top five degrees
 
 
 @lru_cache(maxsize=64)
-def _multi_indices(n: int, N: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
+def _multi_indices(n: int, N: int) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray, int]:
     """Every multi-index of n coordinates with |alpha| <= N, ordered by
     (|alpha|, alpha): the int grid, its tuple keys, its float copy and its
-    degrees, read-only and shared by every table of that (n, N)."""
+    degrees, read-only and shared by every table of that (n, N), and the first
+    row of degree N - 4 or more."""
     grid = np.indices((N + 1,) * n).reshape(n, -1).T
     grid = grid[grid.sum(axis=1) <= N]
     grid = grid[np.lexsort((*grid.T[::-1], grid.sum(axis=1)))]
     arrays = (grid, grid.astype(float), grid.sum(axis=1))
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays[0], tuple(map(tuple, grid.tolist())), arrays[1], arrays[2]
+    top = int(np.searchsorted(arrays[2], N - 4))
+    return arrays[0], tuple(map(tuple, grid.tolist())), arrays[1], arrays[2], top
 
 
 @lru_cache(maxsize=64)
@@ -153,9 +158,9 @@ def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
     N = int(_whole(truncation_degree, "truncation degree"))
     if N < 0:
         raise ValueError("truncation degree must be >= 0")
-    grid, keys, alphas, degrees = _multi_indices(dimension(domain), N)
+    grid, keys, alphas, degrees, top = _multi_indices(dimension(domain), N)
     values = monomial_moment(domain, grid)
-    return MomentTable(domain, N, dict(zip(keys, values.tolist())), alphas, 1.0 / values, degrees)
+    return MomentTable(domain, N, dict(zip(keys, values.tolist())), alphas, 1.0 / values, degrees, top)
 
 
 @dataclass(frozen=True)
@@ -172,30 +177,31 @@ def _kernel_rows(table: MomentTable, P: np.ndarray) -> tuple[np.ndarray, np.ndar
     r2 = np.abs(P) ** 2
     terms = r2[:, 0, None] ** table.alphas[:, 0]  # np.prod over coordinates is slow
     for j in range(1, P.shape[1]):
-        terms = terms * r2[:, j, None] ** table.alphas[:, j]
-    terms = terms * table.inv_moments
-    return terms, np.sum(terms, axis=1)
+        terms *= r2[:, j, None] ** table.alphas[:, j]
+    terms *= table.inv_moments
+    return terms, np.add.reduce(terms, axis=1)
 
 
 def bergman_kernel_diag(domain: Domain, z: PointLike, N: int) -> KernelResult:
-    """Truncated kernel on the diagonal, sum over |alpha| <= N, with a geometric
-    tail estimate from the last per-degree sums."""
+    """Truncated kernel on the diagonal, sum over |alpha| <= N, with a tail
+    estimate: the geometric continuation of the largest ratio of consecutive
+    degree sums among the top five degrees (inf if that ratio reaches 1, 0 if
+    the top sum is 0)."""
     coords = member_coords(domain, z)
     table = moment_table(domain, N)
     terms, sums = _kernel_rows(table, coords[None, :])
     kernel = float(sums[0])
     tail = 0.0
-    last = np.bincount(table.degrees, weights=terms[0])[-5:]
+    last = np.bincount(table.degrees[table.top:], weights=terms[0, table.top:])[-5:].tolist()
     if last[-1] > 0.0:
-        # each degree sum over the one below, 0 where that is 0: the sums are
-        # nonnegative, so no ratio of two positive sums loses the max to a 0
-        ratios = np.divide(last[1:], last[:-1], out=np.zeros(len(last) - 1), where=last[:-1] > 0.0)
-        r = max(ratios.tolist(), default=0.0)
-        tail = math.inf if r >= 1.0 else float(last[-1] * r / (1.0 - r))
+        # each degree sum over the one below, where that is positive
+        r = max([b / a for a, b in zip(last, last[1:]) if a > 0.0], default=0.0)
+        tail = math.inf if r >= 1.0 else last[-1] * r / (1.0 - r)
     return KernelResult(kernel, math.sqrt(kernel), tail)
 
 
 STENCIL_STEP = 1e-3  # central-difference step of the Hessian metric
+_STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j])  # the points z + c h X
 
 
 def bergman_metric_numeric(
@@ -218,11 +224,7 @@ def bergman_metric_numeric(
     table = moment_table(domain, N)
     if not vec.any():
         return 0.0
-    rows = [coords]
-    for unit in (1.0, 1j):
-        step = h * unit * vec
-        rows += [coords + step, coords - step]
-    stencil = np.stack(rows)
+    stencil = coords + (h * _STENCIL)[:, None] * vec
     if not domain.contains_rows(stencil).all():
         raise MembershipError(f"a point of the difference stencil with step {h:g} leaves the domain")
     logk = [math.log(k) for k in _kernel_rows(table, stencil)[1]]

@@ -498,12 +498,17 @@ class ReinhardtEllipsoid(Domain):
     """The Reinhardt domain sum_j |z_j|^(2 p_j) < 1 with finite positive exponents."""
 
     exponents: tuple[float, ...]
+    # 2 p_j, the power of each modulus in the sum; derived, so kept out of ==, hash and repr
+    doubled: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         exps = tuple(float(p) for p in self.exponents)
         if len(exps) < 1 or not all(0.0 < p < math.inf for p in exps):
             raise ValueError("ellipsoid exponents must be finite and positive")
         object.__setattr__(self, "exponents", exps)
+        doubled = 2.0 * np.array(exps)
+        doubled.flags.writeable = False
+        object.__setattr__(self, "doubled", doubled)
 
     dim = property(lambda self: len(self.exponents))
 
@@ -512,10 +517,10 @@ class ReinhardtEllipsoid(Domain):
 
     # the boundary distance is a projection, so membership is tested directly
     def contains(self, coords):
-        return float(_across(np.add, np.abs(coords) ** (2 * np.asarray(self.exponents)))) < 1.0
+        return float(_across(np.add, np.abs(coords) ** self.doubled)) < 1.0
 
     def contains_rows(self, Z):
-        return _across(np.add, np.abs(Z) ** (2 * np.asarray(self.exponents))) < 1.0
+        return _across(np.add, np.abs(Z) ** self.doubled) < 1.0
 
     cap_nonempty = _center_inside
 
