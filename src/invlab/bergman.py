@@ -224,8 +224,10 @@ def bergman_metric_numeric(
     table = moment_table(domain, N)
     if not vec.any():
         return 0.0
-    stencil = coords + (h * _STENCIL)[:, None] * vec
-    if not domain.contains_rows(stencil).all():
+    with np.errstate(over="ignore"):  # a stencil point past the double range is no member
+        stencil = coords + (h * _STENCIL)[:, None] * vec
+        inside = domain.contains_rows(stencil).all()
+    if not inside:
         raise MembershipError(f"a point of the difference stencil with step {h:g} leaves the domain")
     logk = [math.log(k) for k in _kernel_rows(table, stencil)[1]]
     quad_form = 0.0

@@ -81,10 +81,6 @@ class GapDecomposition:
     k_local: float
     k_global: float
 
-    def __post_init__(self):
-        if abs(self.gap - (self.term_boundary + self.term_separation)) > 1e-12:
-            raise ValueError("gap must equal the sum of its two terms")
-
 
 def _atanh_stable(m, comp):
     """atanh m with the complement 1 - m^2 given in stable form; overflows to +inf."""

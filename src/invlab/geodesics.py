@@ -104,13 +104,6 @@ class EpsilonCertificate:
     epsilon: float
     worst_pair: tuple[int, int]
 
-    def __post_init__(self):
-        if self.epsilon < -1e-12:
-            raise ValueError(
-                "certificate is negative beyond tolerance; the distance oracle "
-                "returned more than a sub-curve length"
-            )
-
 
 def _segment_lengths(density: FinslerDensity, a, b, d=None) -> np.ndarray:
     """Gauss two-point lengths of segments a[i] -> b[i] = a[i] + d[i], in one density call."""

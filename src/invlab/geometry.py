@@ -23,8 +23,10 @@ so z is a member iff it is positive, and a cap B(c, r) is nonempty iff minus
 it at c is below r (over products, caps and ellipsoids c must lie inside).
 
 Points and tangent vectors reach the members as 1-d complex arrays from
-``as_coords``; only a ``ComplexPoint`` holds a tuple of Python complex numbers
-(double precision throughout; no arbitrary precision is attempted).
+``as_coords`` (double precision throughout; no arbitrary precision is
+attempted).  A cap keeps its center twice: as a tuple of Python complex
+numbers, which makes caps equal and hashable, and as a read-only array, which
+its membership tests read.
 """
 
 from __future__ import annotations
@@ -54,34 +56,11 @@ class EmptyIntersectionError(ValueError):
     """A ball cap would have empty interior."""
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of C^n, n >= 1, with finite coordinates."""
-
-    coords: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("a point needs at least one coordinate")
-        coords = tuple(complex(c) for c in self.coords)
-        for c in coords:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+PointLike = VectorLike = Union[complex, float, int, Sequence[complex]]
 
 
-PointLike = Union[ComplexPoint, complex, float, int, Sequence[complex]]
-VectorLike = Union[complex, float, int, Sequence[complex]]
-
-
-def as_coords(z: Union[PointLike, VectorLike]) -> np.ndarray:
+def as_coords(z: PointLike) -> np.ndarray:
     """Coerce a point-like or vector-like value to a 1-d complex array."""
-    if isinstance(z, ComplexPoint):
-        return np.asarray(z.coords, dtype=complex)
     if isinstance(z, (complex, float, int)):
         return np.array([complex(z)], dtype=complex)
     if isinstance(z, np.ndarray) and z.ndim == 1:  # coordinates already coerced once
@@ -168,7 +147,7 @@ class Domain:
         """True iff the open ball B(coords, radius) meets the domain."""
         return -self.signed(coords) < radius
 
-    def cap(self, center: ComplexPoint, radius: float) -> Domain:
+    def cap(self, center: tuple[complex, ...], radius: float) -> Domain:
         """The domain cut with the open ball B(center, radius)."""
         return BallIntersection(self, center, radius)
 
@@ -241,7 +220,7 @@ class HalfPlane(Domain):
 
     def cap(self, center, radius):
         # the cut at 0 with radius up to 1 normalizes to a half-disc
-        if center.coords == (0j,) and 0.0 < radius <= 1.0:
+        if center == (0j,) and 0.0 < radius <= 1.0:
             return HalfDiscScaled(radius)
         return super().cap(center, radius)
 
@@ -464,30 +443,38 @@ class BallIntersection(Domain):
     """A base domain cut with an open Euclidean ball (a "cap")."""
 
     base: Domain
-    center: ComplexPoint
+    center: tuple[complex, ...]
     radius: float
+    # the center as a read-only array; derived, so kept out of ==, hash and repr
+    center_coords: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        coords = as_coords(self.center)
+        if not np.isfinite(coords).all():
+            raise ValueError("cap center must have finite coordinates")
         if not 0.0 < self.radius < math.inf:
             raise ValueError("cap radius must be finite and positive")
-        if self.center.dim != self.base.dim:
+        if len(coords) != self.base.dim:
             raise DimensionMismatchError("cap center has wrong dimension")
-        if not self.base.cap_nonempty(as_coords(self.center), self.radius):
+        if not self.base.cap_nonempty(coords, self.radius):
             raise EmptyIntersectionError("ball cap has empty interior")
+        coords.flags.writeable = False
+        object.__setattr__(self, "center", tuple(coords.tolist()))
+        object.__setattr__(self, "center_coords", coords)
 
     dim = property(lambda self: self.base.dim)
 
     def signed(self, coords):
-        to_sphere = self.radius - float(_norm(coords - as_coords(self.center)))
+        to_sphere = self.radius - float(_norm(coords - self.center_coords))
         # exact for the convex-with-convex intersections in the catalog
         return min(self.base.signed(coords), to_sphere)
 
     def contains(self, coords):
-        cap = _norm(coords - as_coords(self.center)) < self.radius
+        cap = _norm(coords - self.center_coords) < self.radius
         return bool(cap) and self.base.contains(coords)
 
     def contains_rows(self, Z):
-        cap = _norm(Z - as_coords(self.center)) < self.radius
+        cap = _norm(Z - self.center_coords) < self.radius
         return cap & self.base.contains_rows(Z)
 
     cap_nonempty = _center_inside
@@ -696,11 +683,9 @@ def contains_batch(domain: Domain, Z: np.ndarray) -> np.ndarray:
     return domain.contains_rows(np.atleast_2d(np.asarray(Z, dtype=complex)))
 
 
-def intersect_with_ball(
-    domain: Domain, center: PointLike, radius: float
-) -> Domain:
+def intersect_with_ball(domain: Domain, center: PointLike, radius: float) -> Domain:
     """Cut a domain with an open ball; the half-plane cut at 0 normalizes to a half-disc."""
-    return domain.cap(ComplexPoint(tuple(as_coords(center))), radius)
+    return domain.cap(tuple(as_coords(center).tolist()), radius)
 
 
 # The closed forms above call the shared kernels of these modules, which import

@@ -13,6 +13,7 @@ import numpy as np
 from .geometry import _across, formula
 
 EDGE = 1e-9
+SHRINK = 0.9  # domain_points samples the member shrunk by this factor
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -77,10 +78,10 @@ def polydisc_points(seed: int, count: int, radii, shrink: float = 1.0) -> np.nda
     return r * np.exp(2j * np.pi * u[:, n:])
 
 
-def domain_points(seed: int, count: int, domain, shrink: float = 0.9) -> np.ndarray:
+def domain_points(seed: int, count: int, domain) -> np.ndarray:
     """Seeded interior samples for the axiom sweeps, shape (count, n).
 
-    Points are drawn inside the domain shrunk by the given factor so that
+    Points are drawn inside the domain shrunk by ``SHRINK`` so that
     distances stay well conditioned.
     """
-    return formula(domain, "sample")(seed, count, shrink)
+    return formula(domain, "sample")(seed, count, SHRINK)

@@ -17,7 +17,6 @@ from invlab.bergman import (
 from invlab.geometry import (
     Ball,
     BallIntersection,
-    ComplexPoint,
     DimensionMismatchError,
     HalfPlane,
     MembershipError,
@@ -183,6 +182,23 @@ def test_errors():
     with pytest.raises(MembershipError):
         # the stencil point 0.9999 + 1e-3 lies outside
         bergman_metric_numeric(UnitDisc(), 0.9999, 1.0, 10, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "domain, z, X",
+    [
+        (UnitDisc(), 0.5, 1e308 + 1e308j),
+        (Ball(2), (0.1, 0.1), (1e308 + 1e308j, 0.0)),
+        (Polydisc((1.0, 0.5)), (0.1, 0.1), (1e308 + 1e308j, 0.0)),
+        (ReinhardtEllipsoid((1.0, 2.0)), (0.1, 0.1), (1e308 + 1e308j, 0.0)),
+    ],
+    ids=repr,
+)
+def test_a_stencil_past_the_double_range_is_refused_without_overflow(domain, z, X):
+    # the product h X and the membership squares overflow to inf, which is no
+    # member; a RuntimeWarning on the way is an error under tier-1's filter
+    with pytest.raises(MembershipError, match="stencil"):
+        bergman_metric_numeric(domain, z, X, 10)
 
 
 def test_vector_of_the_wrong_dimension_is_no_membership_error():
@@ -598,7 +614,7 @@ def test_the_rule_is_membership_of_the_stencil_points():
 
 
 def test_metric_rejects_non_reinhardt_domains_before_the_stencil_check():
-    cap = BallIntersection(UnitDisc(), ComplexPoint((0j,)), 0.5)
+    cap = BallIntersection(UnitDisc(), (0j,), 0.5)
     for domain, z in ((cap, 0.4999), (HalfPlane(), 1e-4j), (HalfPlane(), 1j)):
         with pytest.raises(UnsupportedDomainError):
             bergman_metric_numeric(domain, z, 1.0, 10, 1e-3)

@@ -113,6 +113,14 @@ def test_closed_forms_build_or_are_refused_at_lookup(domain, supported):
         assert samples.shape == (50, n) and contains_batch(domain, samples).all()
 
 
+@pytest.mark.parametrize(
+    "domain", [domain for domain, supported in CATALOG if "sample" in supported], ids=repr
+)
+def test_domain_points_samples_the_member_shrunk_by_nine_tenths(domain):
+    expected = domain.sample(5, 64, 0.9)
+    assert np.array_equal(sampling.domain_points(5, 64, domain), expected)
+
+
 MODULES = sorted(
     name[:-3]
     for name in os.listdir(os.path.dirname(invlab.__file__))

@@ -23,7 +23,6 @@ from invlab.distances import (
 )
 from invlab.geometry import (
     Ball,
-    ComplexPoint,
     HalfDiscScaled,
     HalfPlane,
     MembershipError,
@@ -142,11 +141,10 @@ def test_localization_gap_spot_pair():
     "z, w",
     [
         ((0.5j,), (0.25j,)),
-        (ComplexPoint((0.5j,)), ComplexPoint((0.25j,))),
         (np.array([0.5j]), np.array([0.25j])),
         (np.complex128(0.5j), np.complex128(0.25j)),
     ],
-    ids=["tuple", "ComplexPoint", "array", "numpy-scalar"],
+    ids=["tuple", "array", "numpy-scalar"],
 )
 def test_localization_gap_takes_every_point_form_its_validation_accepts(z, w):
     assert localization_gap(z, w) == localization_gap(0.5j, 0.25j)
@@ -369,7 +367,8 @@ def test_scaling_covariance_and_monotonicity():
 
 
 def test_gap_decomposition_invariant():
-    with pytest.raises(ValueError):
-        GapDecomposition(1.0, 0.2, 0.3, 0.0, 2.0, 1.0)
-    g = GapDecomposition(0.5, 0.2, 0.3, 1e-13, 2.0, 1.5)
-    assert g.gap == 0.5
+    # the builder sums the two terms; the dataclass itself checks nothing
+    for z, w, r in ((0.5j, 0.25j, 1.0), (0.1 + 0.3j, -0.2 + 0.05j, 0.7), (0.3j, 0.3j, 1.0)):
+        g = localization_gap(z, w, r)
+        assert isinstance(g, GapDecomposition)
+        assert g.gap == g.term_boundary + g.term_separation

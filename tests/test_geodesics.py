@@ -7,7 +7,6 @@ import pytest
 from invlab import conformal, geodesics
 from invlab.distances import distance_batch, kobayashi_distance
 from invlab.geodesics import (
-    EpsilonCertificate,
     Polyline,
     SolverConfig,
     epsilon_certificate,
@@ -184,11 +183,6 @@ def test_solver_config_validation():
 def test_refinement_too_deep():
     with pytest.raises(ValueError):
         minimize_curve(DISC, -0.5, 0.5, SolverConfig(node_count=5, refinement_levels=4))
-
-
-def test_certificate_invariant():
-    with pytest.raises(ValueError):
-        EpsilonCertificate(-1e-6, (0, 1))
 
 
 # --------------------------------------------------------------------------

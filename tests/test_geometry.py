@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from invlab.geometry import (
     Ball,
     BallIntersection,
-    ComplexPoint,
     DimensionMismatchError,
     EmptyIntersectionError,
     HalfDiscScaled,
@@ -53,6 +52,19 @@ def test_intersect_with_ball_generic_cap():
     assert contains(cap, 0.5)
     assert not contains(cap, -0.5)
     assert boundary_distance(cap, 0.5) == pytest.approx(0.3, abs=1e-15)
+
+
+def test_cap_center_forms_give_one_cap():
+    caps = [
+        intersect_with_ball(UnitDisc(), center, 0.3)
+        for center in ((0.5,), [0.5], np.array([0.5]), 0.5)
+    ]
+    assert all(cap == caps[0] and hash(cap) == hash(caps[0]) for cap in caps)
+    for cap in caps:
+        assert cap.center == (0.5 + 0j,) and type(cap.center[0]) is complex
+        assert not cap.center_coords.flags.writeable
+    with pytest.raises(ValueError):
+        caps[0].center_coords[0] = 0.0
 
 
 def test_empty_intersection_rejected():
@@ -437,10 +449,11 @@ def test_non_finite_points_are_no_members():
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
-        ComplexPoint((complex("inf"),))
-    with pytest.raises(ValueError):
-        ComplexPoint(())
+    for center in ((complex("inf"),), (complex(0, math.nan),)):
+        with pytest.raises(ValueError, match="finite"):
+            BallIntersection(UnitDisc(), center, 0.5)
+    with pytest.raises(DimensionMismatchError):
+        BallIntersection(UnitDisc(), (), 0.5)
     with pytest.raises(ValueError):
         HalfDiscScaled(1.5)
     with pytest.raises(ValueError):
@@ -451,4 +464,4 @@ def test_point_validation():
         with pytest.raises(ValueError):
             ReinhardtEllipsoid((1.0, bad))
         with pytest.raises(ValueError):
-            BallIntersection(HalfPlane(), ComplexPoint((0.5j,)), bad)
+            BallIntersection(HalfPlane(), (0.5j,), bad)

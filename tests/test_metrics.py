@@ -316,8 +316,8 @@ def test_unsupported_variants():
         kobayashi_density(ReinhardtEllipsoid((1.0, 2.0)))
     with pytest.raises(UnsupportedDomainError):
         bergman_density(HalfPlane())
-    from invlab.geometry import BallIntersection, ComplexPoint
+    from invlab.geometry import BallIntersection
 
-    cap = BallIntersection(UnitDisc(), ComplexPoint((0j,)), 0.5)
+    cap = BallIntersection(UnitDisc(), (0j,), 0.5)
     with pytest.raises(UnsupportedDomainError):
         kobayashi_density(cap)

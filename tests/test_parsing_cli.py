@@ -382,6 +382,7 @@ SWEEP = ["sweep", "--samples", "4"]
         (["distance", "--domain", "ball:n=2", "--z", "0.1", "--w", "0,0"], "--z"),
         (["distance", "--domain", "torus", "--z", "0", "--w", "0.5"], "--domain"),
         (["distance", "--domain", "polydisc:r=inf,1", "--z", "5,0", "--w", "7,0"], "--domain"),
+        (["distance", "--domain", "cap(disc;c=inf;r=0.5)", "--z", "0", "--w", "0"], "--domain"),
         (["gap", "--z", "2i", "--w", "0.25i"], "--z"),
         (["gap", "--z", "0.5i", "--w", "-0.25i"], "--w"),
         (["gap", "--z", "0.5i", "--w", "0.25i", "--r", "2"], "--r"),
@@ -395,6 +396,7 @@ SWEEP = ["sweep", "--samples", "4"]
         (["bergman", "--domain", "disc", "--z", "0.1", "--X", "zz"], "--X"),
         (["bergman", "--domain", "ellipsoid:p=1,nan", "--z", "0,0"], "--domain"),
         (["bergman", "--domain", "disc", "--z", "0.999", "--X", "1"], "--z"),
+        (["bergman", "--domain", "disc", "--z", "0.5", "--X", "1e308+1e308i"], "--z"),
         (["bergman", "--domain", "disc", "--z", "0.1", "--X", "1", "--truncation", "0"],
          "--truncation"),
         (SWEEP + ["--family", "imaginary-axis", "--region", "1.5"], "--region"),
@@ -412,6 +414,7 @@ SWEEP = ["sweep", "--samples", "4"]
         "distance-dimension",
         "distance-unknown-domain",
         "distance-infinite-radius",
+        "distance-cap-infinite-center",
         "gap-z-outside",
         "gap-w-outside",
         "gap-radius-out-of-range",
@@ -424,6 +427,7 @@ SWEEP = ["sweep", "--samples", "4"]
         "bergman-X-malformed",
         "bergman-nan-exponent",
         "bergman-z-near-boundary",
+        "bergman-stencil-overflow",
         "bergman-truncation-zero",
         "sweep-imaginary-axis-region",
         "sweep-random-cap-region",
