@@ -33,13 +33,20 @@ and ``localization_gap`` computes the gap by both routes (term sum, and
 difference of the two distances) with the disagreement stored as a residual.
 Sweep tables take the term sum from ``gap_terms_batch`` alone.
 
-Every planar formula takes its moduli |z - w|, |z - conj w|, |1 - z w| and
-|1 - z conj w| as inputs, each formed once per call; ``localization_gap``
-validates its points, then makes one pass: moduli, terms, k_local, k_global.
-That pass runs on numpy scalars and returns the batch cores' bits: complex
-subtraction and conjugation are exact in scalar math, while the complex
-modulus, product and logarithms stay ufunc calls (``np.abs``, ``np.multiply``,
-``np.log1p``, ``np.log``), whose scalar forms round otherwise.
+The planar formula bodies take Im z, Im w, the moduli |z - w|, |z - conj w|,
+|1 - z w|, |1 - z conj w|, |z|, |w| and the squares they need as inputs, and
+make no transcendental call.  The batch cores feed them arrays, each modulus
+formed once per call.  The planar scalar pass feeds them Python floats: it
+validates one pair as Python complex numbers, forms the pair's two products
+in one ``np.multiply`` call and its six moduli in one ``np.abs`` call on short
+stacks, and takes every logarithm of the pair in one ``np.log1p`` and one
+``np.log`` call.  ``kobayashi_distance`` on the disc, the half-plane and the
+half-discs and ``localization_gap`` run on it.  An elementwise ufunc rounds
+alike whatever the length of its array, and Python's float + - * / is numpy's
+float64 arithmetic, so the pass returns the batch cores' bits; the complex
+products, moduli and logarithms stay numpy's, whose bits follow its SIMD
+dispatch.  The scalar gap squares by x ** 2 (libm's pow), as the numpy scalars
+it once ran on did, where the batch cores' np.square is x * x.
 """
 
 from __future__ import annotations
@@ -58,9 +65,11 @@ from .geometry import (
     _modulus,
     formula,
     member_coords,
+    member_point,
 )
 
 OVERFLOW_EDGE = 1.0 - 1e-15
+_UNIT_HALFDISC = HalfDiscScaled(1.0)
 
 
 @dataclass(frozen=True)
@@ -93,13 +102,6 @@ def _atanh_stable(m, comp):
     return vals
 
 
-def _atanh_scalar(m, comp) -> float:
-    """``_atanh_stable`` of one numpy-scalar pair, same bits, without its arrays."""
-    if m < OVERFLOW_EDGE and comp > 0:
-        return float(np.log1p(m) - 0.5 * np.log(comp))
-    return float(_atanh_stable(m, comp))
-
-
 # --------------------------------------------------------------------------
 # batch cores (plain complex arrays, no validation)
 # --------------------------------------------------------------------------
@@ -117,48 +119,55 @@ def _moduli(z, w):
     return z, w, zw, zwbar, np.abs(1.0 - z * w), np.abs(1.0 - z * np.conj(w))
 
 
-def _halfplane_parts(z, w, zw, zwbar):
-    return zw / zwbar, (2.0 * z.imag / zwbar) * (2.0 * w.imag / zwbar)
+def _halfplane_parts(y, v, zw, zwbar):
+    """(m, 1 - m^2) on the upper half-plane from Im z = y, Im w = v, |z - w| and
+    |z - conj w|."""
+    return zw / zwbar, (2.0 * y / zwbar) * (2.0 * v / zwbar)
 
 
-def _disc_comp(z, w, d2):
-    return (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2) / d2**2
+def _disc_comp(az2, aw2, d2_2):
+    """1 - m^2 on the unit disc from |z|^2, |w|^2 and |1 - z conj w|^2."""
+    return (1.0 - az2) * (1.0 - aw2) / d2_2
 
 
-def _halfdisc_parts(z, w, m, comp, d1, d2):
+def _halfdisc_parts(m, comp, d1, d2, disc_comp):
     """(m, 1 - m^2) on the unit upper half-disc from the half-plane's m, comp:
     the ratio transfers by the factor |1 - z w| / |1 - z conj w|, and the
     complement picks up the disc complement of the pair."""
-    return d1 / d2 * m, comp * _disc_comp(z, w, d2)
+    return d1 / d2 * m, comp * disc_comp
 
 
-def _gap_terms(z, w, zw, zwbar, d1, d2):
-    amount = zw * (z.imag * w.imag / (zw + zwbar)) * 4.0 / ((d1 + d2) * d2)
-    t_boundary = np.log1p(amount)
-    q = zw**2 / d2**2
-    t_separation = -0.5 * np.log1p(-q)
-    return t_boundary, t_separation
+def _gap_terms(y, v, zw, zwbar, d1, d2, zw2, d2_2):
+    """(a, -q) of the unit half-disc gap, from Im z, Im w, the moduli and the
+    squares |z - w|^2, |1 - z conj w|^2: the boundary term is log1p(a), the
+    separation term -log1p(-q) / 2."""
+    amount = zw * (y * v / (zw + zwbar)) * 4.0 / ((d1 + d2) * d2)
+    return amount, -(zw2 / d2_2)
 
 
 def halfplane_distance_batch(z, w):
-    return _atanh_stable(*_halfplane_parts(*_halfplane_moduli(z, w)))
+    z, w, zw, zwbar = _halfplane_moduli(z, w)
+    return _atanh_stable(*_halfplane_parts(z.imag, w.imag, zw, zwbar))
 
 
 def disc_distance_batch(z, w):
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     d2 = np.abs(1.0 - z * np.conj(w))
-    return _atanh_stable(np.abs(z - w) / d2, _disc_comp(z, w, d2))
+    return _atanh_stable(np.abs(z - w) / d2, _disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2))
 
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):
     z, w = np.asarray(z, dtype=complex) / radius, np.asarray(w, dtype=complex) / radius
     z, w, zw, zwbar, d1, d2 = _moduli(z, w)
-    return _atanh_stable(*_halfdisc_parts(z, w, *_halfplane_parts(z, w, zw, zwbar), d1, d2))
+    disc = _disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2)
+    return _atanh_stable(*_halfdisc_parts(*_halfplane_parts(z.imag, w.imag, zw, zwbar), d1, d2, disc))
 
 
 def gap_terms_batch(z, w):
     """(boundary term, separation term) of the unit half-disc gap, vectorized."""
-    return _gap_terms(*_moduli(z, w))
+    z, w, zw, zwbar, d1, d2 = _moduli(z, w)
+    amount, neg_q = _gap_terms(z.imag, w.imag, zw, zwbar, d1, d2, zw**2, d2**2)
+    return np.log1p(amount), -0.5 * np.log1p(neg_q)
 
 
 def ball_distance_batch(Z, W):
@@ -198,27 +207,98 @@ def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndar
 
 
 # --------------------------------------------------------------------------
+# the planar scalar pass (one validated pair of Python complex numbers)
+# --------------------------------------------------------------------------
+# Python floats overflow silently or raise on a division by zero where numpy
+# warns, so the pass declines the pairs on which that could happen: bounded
+# pairs with |1 - z conj w| at most 1/SAFE, half-plane pairs with
+# |z - conj w| from SAFE on.  numpy's arithmetic takes those.
+
+SAFE = 2.0**500  # within [1/SAFE, SAFE] no product or quotient of the pass overflows
+
+
+def _pair_moduli(z: complex, w: complex, *more: complex) -> list:
+    """|z - w|, |z - conj w|, |1 - z w|, |1 - z conj w|, |z|, |w| and the
+    moduli of ``more``, for a pair of a bounded member."""
+    wb = w.conjugate()
+    p, pb = np.multiply(np.array([z, z]), np.array([w, wb])).tolist()
+    return np.abs(np.array([z - w, z - wb, 1.0 - p, 1.0 - pb, z, w, *more])).tolist()
+
+
+def _logs(args: list, pairs: list) -> tuple[list, list]:
+    """np.log1p of each of ``args``, which warns as the batch cores' does, and
+    ``_atanh_stable`` of each (m, 1 - m^2) of ``pairs``, which, like it, never
+    warns: Python floats from one np.log1p and one np.log call."""
+    ms = [m for m, _ in pairs]
+    comps = [1.0 if m >= OVERFLOW_EDGE else c for m, c in pairs]  # +inf needs no log
+    logs = np.log1p(np.array(args + ms)).tolist()
+    if min(comps) > 0.0:  # min is NaN or at most 0 wherever some log would warn
+        log_comps = np.log(np.array(comps)).tolist()
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_comps = np.log(np.array(comps)).tolist()
+    n = len(args)
+    atanh = [math.inf if m >= OVERFLOW_EDGE else a - 0.5 * c for m, a, c in zip(ms, logs[n:], log_comps)]
+    return logs[:n], atanh
+
+
+def _atanh_pair(m, comp) -> float:
+    return _logs([], [(m, comp)])[1][0]
+
+
+def disc_distance_pair(z: complex, w: complex) -> float | None:
+    """``disc_distance_batch`` of one pair by the scalar pass; None where it declines."""
+    zw, _, _, d2, az, aw = _pair_moduli(z, w)
+    if not d2 > 1.0 / SAFE:
+        return None
+    return _atanh_pair(zw / d2, _disc_comp(az * az, aw * aw, d2 * d2))
+
+
+def halfplane_distance_pair(z: complex, w: complex) -> float | None:
+    """``halfplane_distance_batch`` of one pair by the scalar pass; None where
+    it declines.  It forms no product, which could overflow on this member."""
+    zw, zwbar = np.abs(np.array([z - w, z - w.conjugate()])).tolist()
+    if not zwbar < SAFE:
+        return None
+    return _atanh_pair(*_halfplane_parts(z.imag, w.imag, zw, zwbar))
+
+
+def halfdisc_distance_pair(z: complex, w: complex, radius: float = 1.0) -> float | None:
+    """``halfdisc_distance_batch`` of one pair by the scalar pass; None where it declines."""
+    s = 1.0 / radius  # numpy divides a complex array by a real as a product with 1/radius
+    z, w = z * s, w * s
+    zw, zwbar, d1, d2, az, aw = _pair_moduli(z, w)
+    if not d2 > 1.0 / SAFE:
+        return None
+    parts = _halfplane_parts(z.imag, w.imag, zw, zwbar)
+    return _atanh_pair(*_halfdisc_parts(*parts, d1, d2, _disc_comp(az * az, aw * aw, d2 * d2)))
+
+
+# --------------------------------------------------------------------------
 # scalar operations (validated)
 # --------------------------------------------------------------------------
 
 def kobayashi_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
-    """Closed-form distance on a catalog domain; +inf marker past the overflow edge."""
-    zc = member_coords(domain, z, "z")
-    wc = member_coords(domain, w, "w")
+    """Closed-form distance on a catalog domain; +inf marker past the overflow edge.
+
+    A planar member's ``distance_pair`` takes the pair by the scalar pass; every
+    other pair, and one the pass declines, runs through the batch core as one row.
+    """
+    pair = getattr(domain, "distance_pair", None)
+    if pair is None:
+        zc, wc = member_coords(domain, z, "z"), member_coords(domain, w, "w")
+    else:
+        z, w = member_point(domain, z, "z"), member_point(domain, w, "w")
+        value = pair(z, w)
+        if value is not None:
+            return DistanceValue(value)
+        zc, wc = np.array([z]), np.array([w])
     return DistanceValue(float(distance_batch(domain)(zc[None, :], wc[None, :])[0]))
 
 
 def caratheodory_distance(domain: Domain, z: PointLike, w: PointLike) -> DistanceValue:
     """Sup of pulled-back disc distances; equals the Kobayashi distance on the catalog."""
     return kobayashi_distance(domain, z, w)
-
-
-def _scalar_pair(z: complex, w: complex):
-    """(z, w, conj w, |z - w|, |z - conj w|) on numpy scalars, the bits of
-    ``_halfplane_moduli`` on 0-d arrays."""
-    z, w = np.complex128(z), np.complex128(w)
-    wb = w.conjugate()
-    return z, w, wb, np.abs(z - w), np.abs(z - wb)
 
 
 def _distinct(z, w):
@@ -251,20 +331,29 @@ def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDeco
     difference of the two distances; |sum - difference| is stored as the
     residual so the two routes certify each other.  For radius < 1 the points
     rescale by 1/radius (the half-plane distance is scale invariant).
-    The pass runs on numpy scalars, with the batch cores' bits.
+    The pass is the planar scalar pass; where it declines, its arithmetic
+    runs on numpy scalars, which keep numpy's inf, NaN and warnings.
     """
-    dom = HalfDiscScaled(radius)
-    z = complex(member_coords(dom, z, "z")[0])
-    w = complex(member_coords(dom, w, "w")[0])
-    zs, ws, wsb, zw, zwbar = _scalar_pair(z / radius, w / radius)
-    d1, d2 = np.abs(1.0 - np.multiply(zs, ws)), np.abs(1.0 - np.multiply(zs, wsb))
-    tb, ts = (float(t) for t in _gap_terms(zs, ws, zw, zwbar, d1, d2))
-    halfplane = _halfplane_parts(zs, ws, zw, zwbar)
-    k_local = _atanh_scalar(*_halfdisc_parts(zs, ws, *halfplane, d1, d2))
-    if radius != 1.0:  # the half-plane distance is that of the unscaled pair
-        z, w, _, zw, zwbar = _scalar_pair(z, w)
-        halfplane = _halfplane_parts(z, w, zw, zwbar)
-    k_global = _atanh_scalar(*halfplane)
+    dom = _UNIT_HALFDISC if radius == 1.0 else HalfDiscScaled(radius)
+    z, w = member_point(dom, z, "z"), member_point(dom, w, "w")
+    zs, ws = z / radius, w / radius
+    # the half-plane distance is that of the unscaled pair
+    unscaled = () if radius == 1.0 else (z - w, z - w.conjugate())
+    moduli = _pair_moduli(zs, ws, *unscaled)
+    if not moduli[3] > 1.0 / SAFE:  # declined: numpy scalars
+        moduli = list(np.array(moduli))
+    zw, zwbar, d1, d2, az, aw, *rest = moduli
+    # its squares are x ** 2, libm's pow, as on the numpy scalars this pass
+    # once ran on; the batch cores' np.square rounds otherwise on about one
+    # input in 1200
+    local = _halfplane_parts(zs.imag, ws.imag, zw, zwbar)
+    glob = _halfplane_parts(z.imag, w.imag, *rest) if rest else local
+    disc = _disc_comp(az**2, aw**2, d2**2)
+    (tb, log_sep), (k_local, k_global) = _logs(
+        list(_gap_terms(zs.imag, ws.imag, zw, zwbar, d1, d2, zw**2, d2**2)),
+        [_halfdisc_parts(*local, d1, d2, disc), glob],
+    )
+    ts = -0.5 * log_sep
     gap = tb + ts
     residual = abs(gap - (k_local - k_global))
     return GapDecomposition(gap, tb, ts, residual, k_local, k_global)

@@ -25,8 +25,8 @@ it at c is below r (over products, caps and ellipsoids c must lie inside).
 Points and tangent vectors reach the members as 1-d complex arrays from
 ``as_coords`` (double precision throughout; no arbitrary precision is
 attempted).  A cap keeps its center twice: as a tuple of Python complex
-numbers, which makes caps equal and hashable, and as a read-only array, which
-its membership tests read.
+numbers, which makes caps equal and hashable and which its scalar membership
+test reads, and as a read-only array, which its batch test reads.
 """
 
 from __future__ import annotations
@@ -99,6 +99,22 @@ def _norm(Z: np.ndarray) -> np.ndarray:
     return np.sqrt(_across(np.add, Z.real**2 + Z.imag**2))
 
 
+def _point_norm(coords: list) -> float:
+    """``_norm`` of one point, bit for bit, from its coordinates as Python
+    complex numbers.
+
+    Under 8 coordinates numpy sums the squares left to right from 0, as the
+    loop here does in Python floats, which overflow to inf where numpy would
+    warn; a longer point keeps numpy's pairwise sum, its overflow ignored."""
+    if len(coords) < 8:
+        total = 0.0
+        for c in coords:
+            total += c.real * c.real + c.imag * c.imag
+        return math.sqrt(total)
+    with np.errstate(over="ignore"):
+        return float(_norm(np.array(coords)))
+
+
 def _modulus(Z: np.ndarray) -> np.ndarray:
     """Entrywise |z| by hypot, as Python's ``abs`` computes it; numpy's complex
     ``abs`` of an array may differ from that in the last bit."""
@@ -135,7 +151,9 @@ class Domain:
     cores ``distance(Z, W)``, ``kobayashi(Z, X)`` and ``bergman(Z, X)`` (+inf at
     rows outside), ``moments(rows)``, ``sample(seed, count, shrink)``, and
     ``bergman_over_kobayashi``, the ratio of the two metrics where it is
-    constant (None elsewhere)."""
+    constant (None elsewhere).  The planar members add ``distance_pair(z, w)``:
+    the batch distance of one pair of Python complex numbers by the scalar
+    pass of ``distances``, or None where the pass declines the pair."""
 
     bergman_over_kobayashi = None
 
@@ -189,6 +207,9 @@ class UnitDisc(Domain):
     def distance(self, Z, W):
         return distances.disc_distance_batch(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
 
+    def distance_pair(self, z, w):
+        return distances.disc_distance_pair(z, w)
+
     def kobayashi(self, Z, X):
         s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,6 +247,9 @@ class HalfPlane(Domain):
 
     def distance(self, Z, W):
         return distances.halfplane_distance_batch(np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0])
+
+    def distance_pair(self, z, w):
+        return distances.halfplane_distance_pair(z, w)
 
     def kobayashi(self, Z, X):
         y = Z[:, 0].imag
@@ -266,6 +290,9 @@ class HalfDiscScaled(Domain):
             np.atleast_2d(Z)[:, 0], np.atleast_2d(W)[:, 0], self.radius
         )
 
+    def distance_pair(self, z, w):
+        return distances.halfdisc_distance_pair(z, w, self.radius)
+
     def kobayashi(self, Z, X):
         # the half-plane density pulled back through f = ((z + 1)/(z - 1))^2:
         # |f'| / (2 Im f) at zeta = z / r, with Im f(zeta) = 4 (1 - |zeta|^2)
@@ -297,7 +324,7 @@ class Ball(Domain):
     bergman_over_kobayashi = property(lambda self: math.sqrt(self.n + 1))
 
     def signed(self, coords):
-        return 1.0 - float(_norm(coords))
+        return 1.0 - _point_norm(coords.tolist())
 
     def contains_rows(self, Z):
         return _norm(Z) < 1.0
@@ -464,14 +491,16 @@ class BallIntersection(Domain):
 
     dim = property(lambda self: self.base.dim)
 
+    def _from_center(self, coords) -> float:
+        return _point_norm([a - b for a, b in zip(coords.tolist(), self.center)])
+
     def signed(self, coords):
-        to_sphere = self.radius - float(_norm(coords - self.center_coords))
+        to_sphere = self.radius - self._from_center(coords)
         # exact for the convex-with-convex intersections in the catalog
         return min(self.base.signed(coords), to_sphere)
 
     def contains(self, coords):
-        cap = _norm(coords - self.center_coords) < self.radius
-        return bool(cap) and self.base.contains(coords)
+        return self._from_center(coords) < self.radius and self.base.contains(coords)
 
     def contains_rows(self, Z):
         cap = _norm(Z - self.center_coords) < self.radius
@@ -502,9 +531,11 @@ class ReinhardtEllipsoid(Domain):
     def signed(self, coords):
         return _ellipsoid_delta(self, coords)
 
-    # the boundary distance is a projection, so membership is tested directly
+    # the boundary distance is a projection, so membership is tested directly;
+    # a modulus from 1 on is no member, and its power could overflow
     def contains(self, coords):
-        return float(_across(np.add, np.abs(coords) ** self.doubled)) < 1.0
+        r = np.abs(coords)
+        return max(r.tolist()) < 1.0 and float(_across(np.add, r**self.doubled)) < 1.0
 
     def contains_rows(self, Z):
         return _across(np.add, np.abs(Z) ** self.doubled) < 1.0
@@ -671,6 +702,23 @@ def member_coords(domain: Domain, z: PointLike, name: str = "point") -> np.ndarr
     if not domain.contains(coords):
         raise MembershipError(f"{name} {coords.tolist()} is not in the domain")
     return coords
+
+
+def member_point(domain: Domain, z: PointLike, name: str = "point") -> complex:
+    """``member_coords`` of a one-dimensional member, as one Python complex.
+
+    A Python number is tested as it is, with no array built: the planar
+    members' ``signed`` gives a Python complex the values it gives numpy's, or
+    raises OverflowError from Python's abs past the double range.  Any other
+    form, a refused number and such an error go to ``member_coords``."""
+    if isinstance(z, (complex, float, int)):
+        c = complex(z)
+        try:
+            if domain.contains((c,)):
+                return c
+        except OverflowError:
+            pass
+    return complex(member_coords(domain, z, name)[0])
 
 
 def boundary_distance(domain: Domain, z: PointLike) -> float:

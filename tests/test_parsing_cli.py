@@ -116,6 +116,29 @@ def test_cli_validation_errors(capsys):
         assert "--z" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--domain", "ball:n=2", "--z", "1e200,0", "--w", "0,0"],
+        ["distance", "--domain", "ellipsoid:p=1,2", "--z", "1e200,0", "--w", "0,0"],
+        ["distance", "--domain", "cap(disc;c=0;r=0.5)", "--z", "1e200", "--w", "0"],
+        ["distance", "--domain", "cap(ball:n=2;c=0.1,0;r=0.5)", "--z", "-1.7e308,0", "--w", "0,0"],
+        ["distance", "--domain", "ball:n=8", "--z", "1e200,0,0,0,0,0,0,0", "--w", "0,0,0,0,0,0,0,0"],
+        ["distance", "--domain", "ellipsoid:p=1,200", "--z", "0,30", "--w", "0,0"],
+        ["geodesic", "--domain", "ball:n=2", "--z", "1e200,0", "--w", "0,0"],
+        ["bergman", "--domain", "ball:n=2", "--z", "1e200,0", "--X", "1,0"],
+    ],
+    ids=["ball", "ellipsoid", "cap", "ball-cap", "ball8", "ellipsoid-power", "geodesic", "bergman"],
+)
+def test_cli_refuses_a_point_past_the_square_range_by_name(argv, capsys):
+    # the scalar membership test squares or powers no such coordinate: tier-1
+    # turns numpy's overflow RuntimeWarning into an error (pyproject.toml)
+    assert cli.run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --z:") and "outside the domain" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bergman_names_the_flag_at_fault(capsys):
     # too deep for the double range (171!, 0.5^1200) or negative: --truncation
     for domain, N in (("ball:n=2", "180"), ("polydisc:r=0.5,0.5", "600"), ("disc", "-1")):

@@ -251,9 +251,12 @@ def test_ball_sampler_keeps_its_axis_one_bits():
 MEMBERSHIP_DOMAINS = [
     Ball(2),
     Ball(3),
+    Ball(8),  # eight real terms, which numpy sums pairwise for a point too
     Polydisc((1.0, 0.5, 0.8)),
     ReinhardtEllipsoid(_P3),
     Product((_DISC, Ball(2))),
+    Ball(2).cap((0.3, 0.1j), 0.9),
+    _DISC.cap((0.2 - 0.1j,), 0.5),
 ]
 
 

@@ -1,13 +1,18 @@
-"""The scalar gap pass on numpy scalars, and the half-plane complement across
-the double range.
+"""The planar scalar pass, and the half-plane complement across the double
+range.
 
-``localization_gap`` makes its one pass on numpy scalars; the property test
+``localization_gap`` makes its one pass on Python floats; the property test
 checks it against the 0-d array reference of ``test_shared_moduli`` bit for
 bit, warnings included, on pairs drawn from the interior and within 1e-12 of
-the segment and of the arc, at radii in (0, 1].  The complement is formed as
-(2 Im z / |z - conj w|)(2 Im w / |z - conj w|), which forms no square: the
-tests below check it where 4 Im z Im w or |z - conj w|^2 would under- or
-overflow, and check that scaling both points by 2^k moves no bit.
+the segment and of the arc, at radii in (0, 1].  The validated
+``kobayashi_distance`` of the disc, the half-plane and the half-discs runs on
+the same pass: it is checked against the batch core on one row, the route it
+replaced, bit for bit and warnings included, and both validated routes are
+checked to accept and refuse every point form as ``member_coords`` does.  The
+complement is formed as (2 Im z / |z - conj w|)(2 Im w / |z - conj w|), which
+forms no square: the tests below check it where 4 Im z Im w or
+|z - conj w|^2 would under- or overflow, and check that scaling both points by
+2^k moves no bit.
 """
 
 import cmath
@@ -21,16 +26,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from invlab import distances
 from invlab.distances import (
     OVERFLOW_EDGE,
-    _atanh_scalar,
     _atanh_stable,
+    _logs,
+    distance_batch,
+    gap_terms_batch,
+    halfdisc_distance_batch,
     halfplane_distance_batch,
     kobayashi_distance,
     localization_gap,
 )
-from invlab.geometry import HalfDiscScaled, HalfPlane, contains
-from test_shared_moduli import _fields, _halfplane_core, _recorded, _ref_localization_gap, _same
+from invlab.geometry import Ball, HalfDiscScaled, HalfPlane, UnitDisc, contains, member_coords
+from test_shared_moduli import _fields, _halfplane_core, _pairs, _recorded, _ref_localization_gap, _same
 
 EPS = sys.float_info.epsilon
 
@@ -55,15 +64,194 @@ def test_scalar_gap_matches_the_array_reference_bit_for_bit(radius, a, b):
     assert got_warned == want_warned
 
 
+def test_scalar_gap_keeps_the_squares_of_numpy_scalars():
+    # x ** 2 of a Python float or a numpy scalar is libm's pow, which misrounds
+    # x * x on about one input in 1200; the batch cores square by np.square.
+    # The scalar gap keeps the reference's pow bits, which the separation term
+    # or the half-disc distance of a few pairs in a thousand show.
+    z, w = _pairs("interior", 5000, 4300, 1.0)
+    _, ts = gap_terms_batch(z, w)
+    kl = halfdisc_distance_batch(z, w)
+    moved = 0
+    for a, b, t, k in zip(z.tolist(), w.tolist(), ts.tolist(), kl.tolist()):
+        got = localization_gap(a, b)
+        assert _same(_fields(got), _fields(_ref_localization_gap(a, b))), (a, b)
+        moved += got.term_separation != t or got.k_local != k
+    assert moved >= 5
+
+
 def test_scalar_atanh_keeps_the_bits_of_the_array_form():
-    cases = [(0.3, 0.91), (0.0, 1.0), (OVERFLOW_EDGE, 2e-15), (1.0, 0.0), (0.5, 0.0), (math.nan, 0.5), (0.5, math.nan)]
-    for m, comp in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _atanh_scalar(np.float64(m), np.float64(comp))
-        want = float(_atanh_stable(m, comp))
-        assert type(got) is float
-        assert _same(np.float64(got), np.float64(want)), (m, comp)
+    cases = [
+        (0.3, 0.91), (0.0, 1.0), (OVERFLOW_EDGE, 2e-15), (1.0, 0.0), (0.5, 0.0),
+        (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan),
+    ]
+    want = _atanh_stable(*np.array(cases).T)
+    # each pair alone and all in one stack, as Python floats and as numpy scalars
+    for stacks in ([[c] for c in cases], [cases], [[tuple(map(np.float64, c)) for c in cases]]):
+        got = []
+        for pairs in stacks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got += _logs([], pairs)[1]
+        assert all(type(g) is float for g in got)
+        assert _same(np.array(got), want), stacks
+
+
+# --------------------------------------------------------------------------
+# the validated planar distances against the one-row route
+# --------------------------------------------------------------------------
+
+PLANAR = [UnitDisc(), HalfPlane(), HalfDiscScaled(1.0), HalfDiscScaled(0.37), Ball(1)]
+
+
+def _one_row(domain, z, w):
+    """The validated distance's route before the scalar pass: the batch core on one row."""
+    return float(distance_batch(domain)(np.array([[z]]), np.array([[w]]))[0])
+
+
+def _planar_points(domain, rng, n):
+    """n points of a planar member: a third inside, a third within 1e-12 of
+    the boundary (down to 1e-16, where ratios cross the overflow edge), and a
+    third anywhere in the disc, within 1e-12 of the half-discs' segment, or far
+    out in the half-plane (Im z up to 1e12)."""
+    third = n // 3
+    depth = 10.0 ** rng.uniform(-16.0, -12.0, n - 2 * third)
+    if isinstance(domain, HalfPlane):
+        x = rng.uniform(-3.0, 3.0, n)
+        y = np.concatenate([10.0 ** rng.uniform(-3.0, 1.0, third), depth, 10.0 ** rng.uniform(8.0, 12.0, third)])
+        return x + 1j * y
+    r = getattr(domain, "radius", 1.0)
+    top = math.pi if hasattr(domain, "radius") else 2.0 * math.pi
+    theta = rng.uniform(1e-3, top - 1e-3, n)
+    rho = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, third)), 1.0 - depth, rng.uniform(0.0, 1.0, third)])
+    pts = rho * np.exp(1j * theta)
+    if top == math.pi:
+        pts[-third:] = pts[-third:].real + 1j * 10.0 ** rng.uniform(-16.0, -12.0, third)
+    return r * pts
+
+
+@pytest.mark.parametrize("domain", PLANAR, ids=repr)
+def test_validated_planar_distance_matches_the_one_row_route_bit_for_bit(domain):
+    rng = np.random.default_rng(4100 + PLANAR.index(domain))
+    z, w = _planar_points(domain, rng, 600), _planar_points(domain, rng, 600)
+    pairs = [(a, b) for a, b in zip(z.tolist(), w[rng.permutation(600)].tolist())]
+    pairs = [(a, b) for a, b in pairs if contains(domain, a) and contains(domain, b)]
+    assert len(pairs) > 500
+    edge = 0
+    for a, b in pairs:
+        got, got_warned = _recorded(lambda: kobayashi_distance(domain, a, b).value)
+        want, want_warned = _recorded(_one_row, domain, a, b)
+        assert _same(np.float64(got), np.float64(want)), (a, b)
+        assert got_warned == want_warned, (a, b)
+        if isinstance(domain, Ball):  # the disc's scalar pass gives the ball's bits
+            assert _same(np.float64(kobayashi_distance(UnitDisc(), a, b).value), np.float64(want))
+        edge += want == math.inf
+    assert 0 < edge < len(pairs)  # pairs on both sides of the overflow edge
+
+
+def test_validated_halfplane_distance_at_the_ends_of_the_double_range():
+    # pairs from 2^500 on are declined by the pass, and keep numpy's overflow warnings
+    ys = [5e-324, 1e-300, 1e-170, 1.0, 2.0**499, 2.0**500, 2.0**501, 1e200, 1e300, 1e308, 1.7e308]
+    points = [complex(x, y) for y in ys for x in (0.0, -y, 0.5 * y)] + [1.5e308 + 1.5e308j, -1.7e308 + 1j]
+    for a in points:
+        for b in points[::3]:
+            got, got_warned = _recorded(lambda: kobayashi_distance(HalfPlane(), a, b).value)
+            want, want_warned = _recorded(_one_row, HalfPlane(), a, b)
+            assert _same(np.float64(got), np.float64(want)), (a, b)
+            assert got_warned == want_warned, (a, b)
+
+
+@pytest.mark.parametrize("safe", [1.0, 1.5], ids=["safe1", "safe1.5"])
+def test_declined_pairs_keep_the_one_row_bits(monkeypatch, safe):
+    # a narrow range makes the pass decline about half the pairs: the
+    # validated distance then takes the one-row route, and the gap runs its
+    # arithmetic on numpy scalars
+    monkeypatch.setattr(distances, "SAFE", safe)
+    rng = np.random.default_rng(4200)
+    for domain in PLANAR[:4]:
+        z, w = _planar_points(domain, rng, 90), _planar_points(domain, rng, 90)
+        for a, b in zip(z.tolist(), w.tolist()):
+            if contains(domain, a) and contains(domain, b):
+                want = _recorded(_one_row, domain, a, b)
+                got = _recorded(lambda: kobayashi_distance(domain, a, b).value)
+                assert _same(np.float64(got[0]), np.float64(want[0])) and got[1] == want[1]
+    z, w = _pairs("arc", 200, 4201, 1.0)
+    for a, b in zip(z.tolist(), w.tolist()):
+        got, got_warned = _recorded(localization_gap, a, b)
+        want, want_warned = _recorded(_ref_localization_gap, a, b)
+        assert _same(_fields(got), _fields(want)) and got_warned == want_warned
+
+
+# --------------------------------------------------------------------------
+# validation: the scalar routes accept and refuse as member_coords does
+# --------------------------------------------------------------------------
+
+_VALUES = [
+    0.1 + 0.2j, 0.3 + 0.5j, 0.25 + 0j, -0.2 + 0j, 0.36j, 2.0j, 1e300j,  # members of some planar members
+    0j, 1 + 0j, -1 + 0j, 1j, 0.37j, 0.37 + 0j, 0.3 + 0j,  # boundary points
+    1j * (1.0 - 2.0**-53), 0.37j * (1.0 - 2.0**-53), 0.3 + 5e-324j,  # just inside
+    1j * (1.0 + 2.0**-52), 0.37j * (1.0 + 2.0**-52), 0.3 - 5e-324j, complex(1.0 + 2.0**-52),  # just outside
+    complex(math.nan, 0.5), complex(0.5, math.nan), complex(math.inf, 0.5), complex(-math.inf, 0.5),
+    complex(0.1, math.inf), complex(0.1, -math.inf), complex(math.nan, math.inf), 1.5e308 + 1.5e308j,
+]
+
+
+def _forms(v: complex) -> list:
+    """Every form of the point v that ``as_coords`` takes, and some it refuses."""
+    with np.errstate(over="ignore"):  # a huge v casts to an infinite 32-bit form
+        forms = [v, np.complex128(v), np.complex64(v), np.array(v), np.array([v]), [v], (v,)]
+        if v.imag == 0.0:
+            forms += [v.real, np.float64(v.real), np.float32(v.real), np.array(v.real)]
+    if v.imag == 0.0 and v.real.is_integer():
+        forms += [int(v.real), np.int64(v.real)] + ([bool(v.real)] if v.real in (0.0, 1.0) else [])
+    return forms + [np.array([v, v]), [v, 0.1j], (v, v, v)]
+
+
+_ODD_FORMS = [[], (), np.array([]), np.zeros((1, 1)), "0.5", None, 10**400]
+
+
+def _outcome(call, *args):
+    """("ok", warnings) or (exception type, message, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call(*args)
+            out = ("ok",)
+        except Exception as exc:  # noqa: BLE001 - compared by type and message
+            out = (type(exc), str(exc))
+    return out + ([(w.category, str(w.message)) for w in caught],)
+
+
+def _verdict(domain, p, name):
+    """``member_coords``'s verdict on p: ("ok",), or its refusal with its warnings."""
+    got = _outcome(member_coords, domain, p, name)
+    return got if got[0] != "ok" else ("ok",)
+
+
+@pytest.mark.parametrize("domain", PLANAR[:4], ids=repr)
+def test_validated_distance_accepts_and_refuses_as_member_coords(domain):
+    anchor = 0.1 + 0.2j
+    checked = 0
+    for p in [f for v in _VALUES for f in _forms(v)] + _ODD_FORMS:
+        for args, name in (((p, anchor), "z"), ((anchor, p), "w")):
+            want = _verdict(domain, p, name)
+            got = _outcome(lambda: kobayashi_distance(domain, *args))
+            assert got[0] == "ok" if want == ("ok",) else got == want, (p, name)
+            checked += want[0] == "ok"
+    assert checked > 20
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.37])
+def test_validated_gap_accepts_and_refuses_as_member_coords(radius):
+    domain, anchor = HalfDiscScaled(radius), 0.1 + 0.2j
+    checked = 0
+    for p in [f for v in _VALUES for f in _forms(v)] + _ODD_FORMS:
+        for args, name in (((p, anchor), "z"), ((anchor, p), "w")):
+            want = _verdict(domain, p, name)
+            got = _outcome(localization_gap, *args, radius)
+            assert got[0] == "ok" if want == ("ok",) else got == want, (p, name)
+            checked += want[0] == "ok"
+    assert checked > 10
 
 
 # --------------------------------------------------------------------------

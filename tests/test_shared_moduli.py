@@ -182,7 +182,8 @@ def batch(request):
 # and of the half-disc, and the disc complement
 
 def _halfplane_core(z, w):
-    return distances._halfplane_parts(*distances._halfplane_moduli(z, w))
+    z, w, zw, zwbar = distances._halfplane_moduli(z, w)
+    return distances._halfplane_parts(z.imag, w.imag, zw, zwbar)
 
 
 def _ref_halfplane_parts(z, w):
@@ -191,12 +192,14 @@ def _ref_halfplane_parts(z, w):
 
 def _disc_comp_core(z, w):
     z, w, *_, d2 = distances._moduli(z, w)
-    return distances._disc_comp(z, w, d2)
+    return distances._disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2)
 
 
 def _halfdisc_core(z, w):
     z, w, zw, zwbar, d1, d2 = distances._moduli(z, w)
-    return distances._halfdisc_parts(z, w, *distances._halfplane_parts(z, w, zw, zwbar), d1, d2)
+    parts = distances._halfplane_parts(z.imag, w.imag, zw, zwbar)
+    disc = distances._disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2)
+    return distances._halfdisc_parts(*parts, d1, d2, disc)
 
 
 def test_planar_cores_match_their_reference_bit_for_bit(batch):
