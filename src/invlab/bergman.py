@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def moment_table(domain: Domain, truncation_degree: int) -> MomentTable:
     return MomentTable(domain, N, dict(zip(keys, values.tolist())), alphas, 1.0 / values, degrees, top)
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Diagonal Bergman kernel value with its square root and a tail estimate."""
 
     kernel_diag: float

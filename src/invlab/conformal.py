@@ -2,8 +2,12 @@
 
 Each map is a frozen class that defines its own ``image`` and ``derivative``
 in closed form, its ``source`` domain (None when the map is entire), and the
-``check`` that refuses a point outside that source.  The catalog is what the
-distance and metric transfers need:
+``check`` that refuses a point outside that source.  ``jet(z)`` returns
+(f(z), f'(z)) from one walk: a ``Composition`` carries each part's image into
+the next part while it multiplies the derivatives, and ``HalfDiscToHalfPlane``
+forms z + 1 and z - 1 once for both formulas.  A jet is the same expressions
+in the same order as ``image`` and ``derivative``, so the same bits.  The
+catalog is what the distance and metric transfers need:
 
 * ``Cayley`` sends the unit disc onto the upper half-plane.  The convention is
   pinned to theta(w) = i (1 - w) / (1 + w), so theta(0) = i; any conformal
@@ -14,13 +18,17 @@ distance and metric transfers need:
   choice, so no inverse map is provided; when tests need preimages they
   run a local complex Newton iteration instead (``invert_by_newton``).
 
-``image`` and ``derivative`` are plain complex arithmetic, so they accept
-numpy arrays as well as scalars; only the module-level entry points
-``apply`` and ``derivative`` validate source-domain membership.
+``image``, ``derivative`` and ``jet`` are plain complex arithmetic, so they
+accept numpy arrays as well as scalars; only the module-level entry points
+``apply``, ``derivative`` and ``invert_by_newton`` validate, refusing a point
+that is not finite or lies outside the closed source region (a composition
+checks the point each part receives).  Newton checks each iterate once and
+takes f and f' from one ``jet``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,13 +42,21 @@ class ConformalMap:
 
     ``check`` allows closure points: the catalog maps extend holomorphically
     across the boundary of their source, away from their singular point, so
-    the closed forms stay evaluable at distinguished boundary points.
+    the closed forms stay evaluable at distinguished boundary points.  Every
+    ``check`` refuses a point that is not finite: the base one by name, the
+    bounded sources' by testing membership positively, which NaN fails.
     """
 
     source: Optional[Domain] = None  # None: the map is entire
 
     def check(self, z: complex) -> None:
-        """Raise MembershipError unless z lies in the closed source region."""
+        """Raise MembershipError unless z is finite and lies in the closed source region."""
+        if not cmath.isfinite(z):
+            raise MembershipError(f"point {z} is not finite")
+
+    def jet(self, z):
+        """(image, derivative) at z."""
+        return self.image(z), self.derivative(z)
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,7 @@ class Mobius(ConformalMap):
         return (self.a * self.d - self.b * self.c) / (self.c * z + self.d) ** 2
 
     def check(self, z):
+        super().check(z)
         if abs(self.c * z + self.d) == 0.0:
             raise MembershipError("point is the pole of the Mobius map")
 
@@ -100,7 +117,7 @@ class Cayley(ConformalMap):
         return -2j / (1 + z) ** 2
 
     def check(self, z):
-        if abs(z) > 1.0 or z == -1.0:
+        if not (abs(z) <= 1.0 and z != -1.0):  # a positive test, so NaN is refused
             raise MembershipError(f"point {z} is outside the closed unit disc")
 
 
@@ -116,8 +133,12 @@ class HalfDiscToHalfPlane(ConformalMap):
     def derivative(self, z):
         return -4 * (z + 1) / (z - 1) ** 3
 
+    def jet(self, z):
+        zp, zm = z + 1, z - 1
+        return (zp / zm) ** 2, -4 * zp / zm**3
+
     def check(self, z):
-        if z.imag < 0.0 or abs(z) > 1.0 or z == 1.0:
+        if not (z.imag >= 0.0 and abs(z) <= 1.0 and z != 1.0):  # a positive test, so NaN is refused
             raise MembershipError(f"point {z} is outside the closed upper half-disc")
 
 
@@ -142,11 +163,17 @@ class Composition(ConformalMap):
         return z
 
     def derivative(self, z):
+        return self.jet(z)[1]
+
+    def jet(self, z):
         deriv = 1.0 + 0j
         for part in reversed(self.maps):
-            deriv = deriv * part.derivative(z)
-            z = part.image(z)
-        return deriv
+            z, d = part.jet(z)
+            # +d is a temporary, as part.derivative(z) was: numpy computes
+            # deriv * temporary in place with the operands swapped from 256 KiB
+            # on, and a complex product's rounding depends on operand order
+            deriv = deriv * +d
+        return z, deriv
 
     def check(self, z):  # each part checks the point that part receives
         for part in reversed(self.maps):
@@ -174,13 +201,20 @@ NEWTON_TOL = 1e-14  # relative to max(1, |target|)
 def invert_by_newton(m: ConformalMap, target: complex, seed: complex) -> complex:
     """Local preimage of ``target`` by complex Newton iteration started at ``seed``.
 
-    Convergence is only local; the seed picks the branch.  Raises if the
-    iteration stalls or leaves the source domain.
+    Convergence is only local; the seed picks the branch.  Raises
+    MembershipError when an iterate is not finite or leaves the source domain,
+    RuntimeError when the iteration stalls: at a critical point short of the
+    target, or after 100 steps.
     """
     z = complex(seed)
+    tol = NEWTON_TOL * max(1.0, abs(target))
     for _ in range(100):
-        fz = apply(m, z)
-        if abs(fz - target) <= NEWTON_TOL * max(1.0, abs(target)):
+        m.check(z)
+        fz, dfz = m.jet(z)
+        fz, dfz = complex(fz), complex(dfz)
+        if abs(fz - target) <= tol:
             return z
-        z = z - (fz - target) / derivative(m, z)
+        if dfz == 0:
+            raise RuntimeError(f"Newton inversion stalled at the critical point {z}")
+        z = complex(z - (fz - target) / dfz)
     raise RuntimeError("Newton inversion did not converge")

@@ -52,8 +52,7 @@ it once ran on did, where the batch cores' np.square is x * x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,15 +71,13 @@ OVERFLOW_EDGE = 1.0 - 1e-15
 _UNIT_HALFDISC = HalfDiscScaled(1.0)
 
 
-@dataclass(frozen=True)
-class DistanceValue:
+class DistanceValue(NamedTuple):
     """A nonnegative distance (or +inf marker)."""
 
     value: float
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(NamedTuple):
     """Two-term split of (half-disc distance) - (half-plane distance)."""
 
     gap: float

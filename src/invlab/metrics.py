@@ -14,7 +14,9 @@ Densities evaluate in batch on (m, n) complex arrays for the geodesic solver;
 points outside the domain map to +inf, which arithmetic then propagates
 (lengths through an outside point are +inf).  The scalar ``evaluate`` (and
 ``kobayashi_royden_density``, which calls it) instead validates membership and
-raises.  ``pullback`` works through any ``conformal.ConformalMap``.
+raises.  ``pullback`` works through any ``conformal.ConformalMap``, taking the
+image and the derivative from one ``jet`` call, so a composition is walked
+once per batch.
 """
 
 from __future__ import annotations
@@ -91,9 +93,8 @@ def pullback(m: conformal.ConformalMap, density: FinslerDensity) -> FinslerDensi
         else:
             inside = np.ones(len(z), dtype=bool)
             zsafe = z
-        w = m.image(zsafe)
-        d = m.derivative(zsafe) * X[:, 0]
-        vals = density.core(w[:, None], d[:, None])
+        w, dw = m.jet(zsafe)
+        vals = density.core(w[:, None], (dw * X[:, 0])[:, None])
         return _masked(vals, inside)
 
     return FinslerDensity("pullback", src, core)

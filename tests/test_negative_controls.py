@@ -4,8 +4,6 @@ Each test breaks one thing a suite relies on and asserts that the suite then
 reports ``pass`` False, so no suite can pass whatever the code computes.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -95,7 +93,7 @@ def test_ordering_axioms_fails_when_caratheodory_exceeds_kobayashi(monkeypatch):
 
     def broken(domain, z, w):
         value = original(domain, z, w)
-        return replace(value, value=value.value * (1.0 + 1e-9))
+        return value._replace(value=value.value * (1.0 + 1e-9))
 
     monkeypatch.setattr(distances, "caratheodory_distance", broken)
     assert not verify.suite_ordering_axioms(SEED)["pass"]
