@@ -1,12 +1,12 @@
 """Planar conformal maps with exact derivatives.
 
-Each map is a frozen class that defines its own ``image`` and ``derivative``
-in closed form, its ``source`` domain (None when the map is entire), and the
-``check`` that refuses a point outside that source.  ``jet(z)`` returns
-(f(z), f'(z)) from one walk: a ``Composition`` carries each part's image into
-the next part while it multiplies the derivatives, and ``HalfDiscToHalfPlane``
-forms z + 1 and z - 1 once for both formulas.  A jet is the same expressions
-in the same order as ``image`` and ``derivative``, so the same bits.  The
+Each map is a frozen class that defines its own ``image`` in closed form,
+its ``jet`` (f(z), f'(z)), its ``source`` domain (None when the map is
+entire), and the ``check`` that refuses a point outside that source.  The jet
+is each map's only derivative, taken in one walk: a ``Composition`` carries
+each part's image into the next part while it multiplies the derivatives, and
+``Mobius`` and ``HalfDiscToHalfPlane`` form their shared denominators once.
+A jet's image is the same expression as ``image``, so the same bits.  The
 catalog is what the distance and metric transfers need:
 
 * ``Cayley`` sends the unit disc onto the upper half-plane.  The convention is
@@ -18,11 +18,11 @@ catalog is what the distance and metric transfers need:
   choice, so no inverse map is provided; when tests need preimages they
   run a local complex Newton iteration instead (``invert_by_newton``).
 
-``image``, ``derivative`` and ``jet`` are plain complex arithmetic, so they
-accept numpy arrays as well as scalars; only the module-level entry points
-``apply``, ``derivative`` and ``invert_by_newton`` validate, refusing a point
-that is not finite or lies outside the closed source region (a composition
-checks the point each part receives).  Newton checks each iterate once and
+``image`` and ``jet`` are plain complex arithmetic, so they accept numpy
+arrays as well as scalars; only the module-level entry points ``apply``,
+``derivative`` and ``invert_by_newton`` validate, refusing a point that is not
+finite or lies outside the closed source region (a composition checks the
+point each part receives).  Newton checks each iterate once and
 takes f and f' from one ``jet``.
 """
 
@@ -38,7 +38,8 @@ from .geometry import Domain, HalfDiscScaled, MembershipError, UnitDisc
 
 
 class ConformalMap:
-    """A holomorphic map with closed-form ``image`` and ``derivative``.
+    """A holomorphic map with closed-form ``image`` and ``jet`` (image and
+    derivative, the map's only derivative).
 
     ``check`` allows closure points: the catalog maps extend holomorphically
     across the boundary of their source, away from their singular point, so
@@ -53,10 +54,6 @@ class ConformalMap:
         """Raise MembershipError unless z is finite and lies in the closed source region."""
         if not cmath.isfinite(z):
             raise MembershipError(f"point {z} is not finite")
-
-    def jet(self, z):
-        """(image, derivative) at z."""
-        return self.image(z), self.derivative(z)
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,8 @@ class Scale(ConformalMap):
     def image(self, z):
         return self.factor * z
 
-    def derivative(self, z):
-        return self.factor * np.ones_like(z)
+    def jet(self, z):
+        return self.factor * z, self.factor * np.ones_like(z)
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,9 @@ class Mobius(ConformalMap):
     def image(self, z):
         return (self.a * z + self.b) / (self.c * z + self.d)
 
-    def derivative(self, z):
-        return (self.a * self.d - self.b * self.c) / (self.c * z + self.d) ** 2
+    def jet(self, z):
+        q = self.c * z + self.d  # q * q: q ** 2 of a huge Python complex raises
+        return (self.a * z + self.b) / q, (self.a * self.d - self.b * self.c) / (q * q)
 
     def check(self, z):
         super().check(z)
@@ -113,8 +111,8 @@ class Cayley(ConformalMap):
     def image(self, z):
         return 1j * (1 - z) / (1 + z)
 
-    def derivative(self, z):
-        return -2j / (1 + z) ** 2
+    def jet(self, z):
+        return 1j * (1 - z) / (1 + z), -2j / (1 + z) ** 2
 
     def check(self, z):
         if not (abs(z) <= 1.0 and z != -1.0):  # a positive test, so NaN is refused
@@ -129,9 +127,6 @@ class HalfDiscToHalfPlane(ConformalMap):
 
     def image(self, z):
         return ((z + 1) / (z - 1)) ** 2
-
-    def derivative(self, z):
-        return -4 * (z + 1) / (z - 1) ** 3
 
     def jet(self, z):
         zp, zm = z + 1, z - 1
@@ -162,16 +157,13 @@ class Composition(ConformalMap):
             z = part.image(z)
         return z
 
-    def derivative(self, z):
-        return self.jet(z)[1]
-
     def jet(self, z):
         deriv = 1.0 + 0j
         for part in reversed(self.maps):
             z, d = part.jet(z)
-            # +d is a temporary, as part.derivative(z) was: numpy computes
-            # deriv * temporary in place with the operands swapped from 256 KiB
-            # on, and a complex product's rounding depends on operand order
+            # +d is a temporary, as a derivative formed apart would be: numpy
+            # computes deriv * temporary in place with the operands swapped from
+            # 256 KiB on, and a complex product's rounding depends on operand order
             deriv = deriv * +d
         return z, deriv
 
@@ -192,7 +184,7 @@ def derivative(m: ConformalMap, z: complex) -> complex:
     """Complex derivative at a point of the source domain (chain rule for compositions)."""
     z = complex(z)
     m.check(z)
-    return complex(m.derivative(z))
+    return complex(m.jet(z)[1])
 
 
 NEWTON_TOL = 1e-14  # relative to max(1, |target|)

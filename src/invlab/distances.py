@@ -13,7 +13,8 @@ atanh is evaluated as log(1 + m) - log(1 - m^2) / 2, with the complement
 
 * half-plane:      1 - m^2 = 4 Im z Im w / |z - conj w|^2
 * unit disc:       1 - m^2 = (1 - |z|^2)(1 - |w|^2) / |1 - z conj w|^2
-* ball:            1 - m^2 = (1 - |z|^2)(1 - |w|^2) / |1 - <z, w>|^2
+* ball:            1 - m^2 = (1 - |z|^2)(1 - |w|^2) / |1 - <z, w>|^2,
+                   the disc's body with <z, w> in place of z conj w
 
 (The half-plane complement carries |z - conj w|^2 in the denominator, the
 form consistent with m = |z - w| / |z - conj w|; this is pinned by the
@@ -43,10 +44,10 @@ stacks, and takes every logarithm of the pair in one ``np.log1p`` and one
 ``np.log`` call.  ``kobayashi_distance`` on the disc, the half-plane and the
 half-discs and ``localization_gap`` run on it.  An elementwise ufunc rounds
 alike whatever the length of its array, and Python's float + - * / is numpy's
-float64 arithmetic, so the pass returns the batch cores' bits; the complex
-products, moduli and logarithms stay numpy's, whose bits follow its SIMD
-dispatch.  The scalar gap squares by x ** 2 (libm's pow), as the numpy scalars
-it once ran on did, where the batch cores' np.square is x * x.
+float64 arithmetic, so the pass, the gap included, returns the bits of the
+batch cores on one row: it scales a half-disc pair by 1/radius and squares by
+x * x, as numpy's complex / real and np.square do.  The complex products,
+moduli and logarithms stay numpy's, whose bits follow its SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -187,8 +188,7 @@ def ball_distance_batch(Z, W):
     phi = (Z - proj - s * (W - proj)) / (1.0 - ip)[:, None]
     v = np.where(at_origin[:, None], -W, phi)
     m = np.sqrt(_across(np.add, (v.conj() * v).real))
-    comp = (1.0 - nz2) * (1.0 - nw2) / np.abs(1.0 - ip) ** 2
-    return _atanh_stable(m, comp)
+    return _atanh_stable(m, _disc_comp(nz2, nw2, np.abs(1.0 - ip) ** 2))
 
 
 def polydisc_distance_batch(Z, W, radii):
@@ -333,21 +333,19 @@ def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDeco
     """
     dom = _UNIT_HALFDISC if radius == 1.0 else HalfDiscScaled(radius)
     z, w = member_point(dom, z, "z"), member_point(dom, w, "w")
-    zs, ws = z / radius, w / radius
+    s = 1.0 / radius  # as in halfdisc_distance_pair
+    zs, ws = z * s, w * s
     # the half-plane distance is that of the unscaled pair
     unscaled = () if radius == 1.0 else (z - w, z - w.conjugate())
     moduli = _pair_moduli(zs, ws, *unscaled)
     if not moduli[3] > 1.0 / SAFE:  # declined: numpy scalars
         moduli = list(np.array(moduli))
     zw, zwbar, d1, d2, az, aw, *rest = moduli
-    # its squares are x ** 2, libm's pow, as on the numpy scalars this pass
-    # once ran on; the batch cores' np.square rounds otherwise on about one
-    # input in 1200
     local = _halfplane_parts(zs.imag, ws.imag, zw, zwbar)
     glob = _halfplane_parts(z.imag, w.imag, *rest) if rest else local
-    disc = _disc_comp(az**2, aw**2, d2**2)
+    disc = _disc_comp(az * az, aw * aw, d2 * d2)
     (tb, log_sep), (k_local, k_global) = _logs(
-        list(_gap_terms(zs.imag, ws.imag, zw, zwbar, d1, d2, zw**2, d2**2)),
+        list(_gap_terms(zs.imag, ws.imag, zw, zwbar, d1, d2, zw * zw, d2 * d2)),
         [_halfdisc_parts(*local, d1, d2, disc), glob],
     )
     ts = -0.5 * log_sep

@@ -265,16 +265,14 @@ def minimize_curve(
     if density.domain is None:
         raise ValueError("minimize_curve needs a density with a domain")
     za, wa = as_coords(z), as_coords(w)
-    coarse = (config.node_count - 1) >> config.refinement_levels
-    t = np.linspace(0.0, 1.0, coarse + 1)[:, None]
-    nodes = (1 - t) * za[None, :] + t * wa[None, :]
+    t = np.linspace(0.0, 1.0, config.node_count)[:, None]
+    chord = (1 - t) * za[None, :] + t * wa[None, :]
+    nodes = chord[:: 1 << config.refinement_levels]
     if not contains_batch(density.domain, nodes).all():
         raise MembershipError(
             "straight chord exits the domain; no repair is implemented "
             "for non-convex members"
         )
-    tf = np.linspace(0.0, 1.0, config.node_count)[:, None]
-    chord = (1 - tf) * za[None, :] + tf * wa[None, :]
     chord_length = _curve_length(density, chord)
     nodes, length = _descend(density, nodes, config)
     for _ in range(config.refinement_levels):

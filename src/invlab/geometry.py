@@ -263,14 +263,15 @@ class HalfPlane(Domain):
 
 @dataclass(frozen=True)
 class HalfDiscScaled(Domain):
-    """Upper half-plane cut with the disc of radius r centered at 0, 0 < r <= 1."""
+    """Upper half-plane cut with the disc of radius r centered at 0, 2^-1022 <= r <= 1."""
 
     radius: float = 1.0
     dim = 1
 
     def __post_init__(self):
-        if not (0.0 < self.radius <= 1.0):
-            raise ValueError("half-disc radius must lie in (0, 1]")
+        # a normal radius: the distances scale by 1/radius, which overflows below
+        if not (2.0**-1022 <= self.radius <= 1.0):
+            raise ValueError("half-disc radius must lie in [2^-1022, 1]")
 
     def signed(self, coords):
         z, r = coords[0], self.radius

@@ -454,8 +454,10 @@ def test_point_validation():
             BallIntersection(UnitDisc(), center, 0.5)
     with pytest.raises(DimensionMismatchError):
         BallIntersection(UnitDisc(), (), 0.5)
-    with pytest.raises(ValueError):
-        HalfDiscScaled(1.5)
+    for bad in (1.5, 0.0, 5e-324, 2.0**-1023):  # 1/radius overflows below 2^-1022
+        with pytest.raises(ValueError):
+            HalfDiscScaled(bad)
+    assert math.isfinite(1.0 / HalfDiscScaled(2.0**-1022).radius)
     with pytest.raises(ValueError):
         Polydisc((1.0, -1.0))
     for bad in (math.inf, math.nan):

@@ -1,18 +1,18 @@
 """The planar scalar pass, and the half-plane complement across the double
 range.
 
-``localization_gap`` makes its one pass on Python floats; the property test
-checks it against the 0-d array reference of ``test_shared_moduli`` bit for
-bit, warnings included, on pairs drawn from the interior and within 1e-12 of
-the segment and of the arc, at radii in (0, 1].  The validated
-``kobayashi_distance`` of the disc, the half-plane and the half-discs runs on
-the same pass: it is checked against the batch core on one row, the route it
-replaced, bit for bit and warnings included, and both validated routes are
-checked to accept and refuse every point form as ``member_coords`` does.  The
-complement is formed as (2 Im z / |z - conj w|)(2 Im w / |z - conj w|), which
-forms no square: the tests below check it where 4 Im z Im w or
-|z - conj w|^2 would under- or overflow, and check that scaling both points by
-2^k moves no bit.
+``localization_gap`` makes its one pass on Python floats; the tests check it
+against the batch cores on one row and against the one-row reference of
+``test_shared_moduli`` bit for bit, warnings included, on pairs drawn from the
+interior and within 1e-12 of the segment and of the arc, at radii in
+[2^-1022, 1].  The validated ``kobayashi_distance`` of the disc, the
+half-plane and the half-discs runs on the same pass: it is checked against the
+batch core on one row, the route it replaced, bit for bit and warnings
+included, and both validated routes are checked to accept and refuse every
+point form as ``member_coords`` does.  The complement is formed as
+(2 Im z / |z - conj w|)(2 Im w / |z - conj w|), which forms no square: the
+tests below check it where 4 Im z Im w or |z - conj w|^2 would under- or
+overflow, and check that scaling both points by 2^k moves no bit.
 """
 
 import cmath
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from invlab import distances
 from invlab.distances import (
     OVERFLOW_EDGE,
+    GapDecomposition,
     _atanh_stable,
     _logs,
     distance_batch,
@@ -39,7 +40,15 @@ from invlab.distances import (
     localization_gap,
 )
 from invlab.geometry import Ball, HalfDiscScaled, HalfPlane, UnitDisc, contains, member_coords
-from test_shared_moduli import _fields, _halfplane_core, _pairs, _recorded, _ref_localization_gap, _same
+from test_shared_moduli import (
+    FAMILIES,
+    _fields,
+    _halfplane_core,
+    _pairs,
+    _recorded,
+    _ref_localization_gap,
+    _same,
+)
 
 EPS = sys.float_info.epsilon
 
@@ -53,7 +62,7 @@ UNIT_POINTS = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.floats(0.0, 1.0, exclude_min=True), UNIT_POINTS, UNIT_POINTS)
+@given(st.floats(2.0**-1022, 1.0), UNIT_POINTS, UNIT_POINTS)  # every radius HalfDiscScaled takes
 def test_scalar_gap_matches_the_array_reference_bit_for_bit(radius, a, b):
     z, w = radius * a, radius * b
     domain = HalfDiscScaled(radius)
@@ -64,20 +73,38 @@ def test_scalar_gap_matches_the_array_reference_bit_for_bit(radius, a, b):
     assert got_warned == want_warned
 
 
-def test_scalar_gap_keeps_the_squares_of_numpy_scalars():
-    # x ** 2 of a Python float or a numpy scalar is libm's pow, which misrounds
-    # x * x on about one input in 1200; the batch cores square by np.square.
-    # The scalar gap keeps the reference's pow bits, which the separation term
-    # or the half-disc distance of a few pairs in a thousand show.
-    z, w = _pairs("interior", 5000, 4300, 1.0)
-    _, ts = gap_terms_batch(z, w)
-    kl = halfdisc_distance_batch(z, w)
-    moved = 0
-    for a, b, t, k in zip(z.tolist(), w.tolist(), ts.tolist(), kl.tolist()):
-        got = localization_gap(a, b)
-        assert _same(_fields(got), _fields(_ref_localization_gap(a, b))), (a, b)
-        moved += got.term_separation != t or got.k_local != k
-    assert moved >= 5
+def _one_row_gap(z, w, radius):
+    """The gap from the batch cores on one row: the terms of the pair scaled by
+    1/radius, as ``halfdisc_distance_batch`` scales it, and the two distances."""
+    Z, W = np.array([z]), np.array([w])
+    s = 1.0 / radius
+    tb, ts = (float(t[0]) for t in gap_terms_batch(Z * s, W * s))
+    k_local = float(halfdisc_distance_batch(Z, W, radius)[0])
+    k_global = float(halfplane_distance_batch(Z, W)[0])
+    gap = tb + ts
+    return GapDecomposition(gap, tb, ts, abs(gap - (k_local - k_global)), k_local, k_global)
+
+
+@pytest.mark.parametrize("safe", [None, 1.0, 1.5], ids=["safe", "safe1", "safe1.5"])
+@pytest.mark.parametrize("radius", [1.0, 0.37, 0.3, 0.77])
+def test_scalar_gap_is_the_one_row_batch_route(monkeypatch, radius, safe):
+    # a narrowed SAFE makes the pass decline about half the pairs, whose
+    # arithmetic then runs on numpy scalars
+    if safe is not None:
+        monkeypatch.setattr(distances, "SAFE", safe)
+    domain = HalfDiscScaled(radius)
+    warned = 0
+    for i, family in enumerate(FAMILIES):
+        z, w = _pairs(family, 300, 4400 + i, radius)
+        for a, b in zip(z.tolist(), w.tolist()):
+            got, got_warned = _recorded(localization_gap, a, b, radius)
+            want, want_warned = _recorded(_one_row_gap, a, b, radius)
+            assert _same(_fields(got), _fields(want)), (a, b)
+            assert got_warned == want_warned, (a, b)
+            for value, dom in ((got.k_local, domain), (got.k_global, HalfPlane())):
+                assert _same(np.float64(value), np.float64(kobayashi_distance(dom, a, b).value)), (a, b)
+            warned += bool(want_warned)
+    assert warned > 0
 
 
 def test_scalar_atanh_keeps_the_bits_of_the_array_form():

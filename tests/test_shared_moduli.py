@@ -108,13 +108,16 @@ def _ref_polydisc_distance_batch(Z, W, radii):
 
 
 def _ref_localization_gap(z, w, radius=1.0):
+    """The gap from the references on one row: the terms of the pair scaled
+    by 1/radius, the distances of the pair as given."""
     dom = HalfDiscScaled(radius)
     member_coords(dom, z, "z")
     member_coords(dom, w, "w")
-    zs, ws = complex(z) / radius, complex(w) / radius
-    tb, ts = (float(t) for t in _ref_gap_terms_batch(zs, ws))
-    k_local = float(_ref_halfdisc_distance_batch(zs, ws))
-    k_global = float(_ref_halfplane_distance_batch(complex(z), complex(w)))
+    Z, W = np.array([complex(z)]), np.array([complex(w)])
+    s = 1.0 / radius
+    tb, ts = (float(t[0]) for t in _ref_gap_terms_batch(Z * s, W * s))
+    k_local = float(_ref_halfdisc_distance_batch(Z, W, radius)[0])
+    k_global = float(_ref_halfplane_distance_batch(Z, W)[0])
     gap = tb + ts
     residual = abs(gap - (k_local - k_global))
     return GapDecomposition(gap, tb, ts, residual, k_local, k_global)
