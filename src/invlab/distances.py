@@ -5,8 +5,14 @@ Moebius-invariant ratio m in [0, 1).  On the upper half-plane
 m(z, w) = |z - w| / |z - conj w|; on the unit disc it is the classical
 pseudohyperbolic ratio |z - w| / |1 - z conj w|; the unit upper half-disc
 transfers to the half-plane through f(z) = ((z + 1)/(z - 1))^2; the ball uses
-the automorphism moving one point to the origin; polydiscs and products take
-the max over factors.
+the automorphism moving one point to the origin (rows with z = 0 take -w,
+written over the automorphism's value only where there are such rows);
+polydiscs and products take the max over factors.
+
+A pair of the unit half-disc is not scaled.  Any other scaling to a unit
+member (the half-disc of radius r, each polydisc coordinate) is a product with
+the reciprocal 1 / radius: numpy divides a complex array by a real one through
+that reciprocal, so the bits are those of z / radius, the sign of a zero aside.
 
 atanh is evaluated as log(1 + m) - log(1 - m^2) / 2, with the complement
 1 - m^2 supplied by a cancellation-free closed form per domain:
@@ -45,9 +51,9 @@ stacks, and takes every logarithm of the pair in one ``np.log1p`` and one
 half-discs and ``localization_gap`` run on it.  An elementwise ufunc rounds
 alike whatever the length of its array, and Python's float + - * / is numpy's
 float64 arithmetic, so the pass, the gap included, returns the bits of the
-batch cores on one row: it scales a half-disc pair by 1/radius and squares by
-x * x, as numpy's complex / real and np.square do.  The complex products,
-moduli and logarithms stay numpy's, whose bits follow its SIMD dispatch.
+batch cores on one row: it scales a half-disc pair as they do and squares by
+x * x, as np.square does.  The complex products, moduli and logarithms stay
+numpy's, whose bits follow its SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -155,7 +161,10 @@ def disc_distance_batch(z, w):
 
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):
-    z, w = np.asarray(z, dtype=complex) / radius, np.asarray(w, dtype=complex) / radius
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if radius != 1.0:
+        s = 1.0 / radius
+        z, w = z * s, w * s
     z, w, zw, zwbar, d1, d2 = _moduli(z, w)
     disc = _disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2)
     return _atanh_stable(*_halfdisc_parts(*_halfplane_parts(z.imag, w.imag, zw, zwbar), d1, d2, disc))
@@ -180,22 +189,24 @@ def ball_distance_batch(Z, W):
     nw2 = _across(np.add, np.abs(W) ** 2)
     ip = _across(np.add, W * np.conj(Z))
     at_origin = nz2 == 0.0
-    safe = np.where(at_origin, 1.0, nz2)
+    origin = at_origin.any()
+    safe = np.where(at_origin, 1.0, nz2) if origin else nz2
     # divide by the real |z|^2 part by part: numpy's complex division rounds
     # through a reciprocal, and in C^1 w - P w cancels to the last bit
     proj = (ip.real / safe + 1j * (ip.imag / safe))[:, None] * Z
     s = np.sqrt(np.maximum(0.0, 1.0 - nz2))[:, None]
     phi = (Z - proj - s * (W - proj)) / (1.0 - ip)[:, None]
-    v = np.where(at_origin[:, None], -W, phi)
-    m = np.sqrt(_across(np.add, (v.conj() * v).real))
+    if origin:
+        phi[at_origin] = -W[at_origin]
+    m = np.sqrt(_across(np.add, (phi.conj() * phi).real))
     return _atanh_stable(m, _disc_comp(nz2, nw2, np.abs(1.0 - ip) ** 2))
 
 
 def polydisc_distance_batch(Z, W, radii):
     Z = np.atleast_2d(np.asarray(Z, dtype=complex))
     W = np.atleast_2d(np.asarray(W, dtype=complex))
-    r = np.asarray(radii, dtype=float)
-    return _across(np.maximum, disc_distance_batch(Z / r, W / r))
+    s = 1.0 / np.asarray(radii, dtype=float)
+    return _across(np.maximum, disc_distance_batch(Z * s, W * s))
 
 
 def distance_batch(domain: Domain) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -262,8 +273,9 @@ def halfplane_distance_pair(z: complex, w: complex) -> float | None:
 
 def halfdisc_distance_pair(z: complex, w: complex, radius: float = 1.0) -> float | None:
     """``halfdisc_distance_batch`` of one pair by the scalar pass; None where it declines."""
-    s = 1.0 / radius  # numpy divides a complex array by a real as a product with 1/radius
-    z, w = z * s, w * s
+    if radius != 1.0:  # as the batch core scales
+        s = 1.0 / radius
+        z, w = z * s, w * s
     zw, zwbar, d1, d2, az, aw = _pair_moduli(z, w)
     if not d2 > 1.0 / SAFE:
         return None
@@ -333,10 +345,11 @@ def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDeco
     """
     dom = _UNIT_HALFDISC if radius == 1.0 else HalfDiscScaled(radius)
     z, w = member_point(dom, z, "z"), member_point(dom, w, "w")
-    s = 1.0 / radius  # as in halfdisc_distance_pair
-    zs, ws = z * s, w * s
-    # the half-plane distance is that of the unscaled pair
-    unscaled = () if radius == 1.0 else (z - w, z - w.conjugate())
+    zs, ws, unscaled = z, w, ()
+    if radius != 1.0:  # as the batch core scales
+        s = 1.0 / radius
+        # the half-plane distance is that of the unscaled pair
+        zs, ws, unscaled = z * s, w * s, (z - w, z - w.conjugate())
     moduli = _pair_moduli(zs, ws, *unscaled)
     if not moduli[3] > 1.0 / SAFE:  # declined: numpy scalars
         moduli = list(np.array(moduli))

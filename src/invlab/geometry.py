@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, product
 from typing import Callable, Sequence, Union
 
@@ -298,14 +299,21 @@ class HalfDiscScaled(Domain):
         # the half-plane density pulled back through f = ((z + 1)/(z - 1))^2:
         # |f'| / (2 Im f) at zeta = z / r, with Im f(zeta) = 4 (1 - |zeta|^2)
         # Im zeta / |zeta - 1|^4 in closed form, free of the cancellation in
-        # Im f at the arc
-        r = self.radius
-        s = _complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus, r)
-        zeta = Z[:, 0] / r
+        # Im f at the arc.  1 - |zeta|^2 is formed from zeta, so no square of
+        # a point of a tiny half-disc underflows; within 8 eps of the arc it is
+        # ((r - m) / r)((r + m) / r), m = |z|, where r - m is exact and carries
+        # the sign of membership, as (r - m)(r + m) does in ``_complement``
+        r, z = self.radius, Z[:, 0]
+        zeta = z if r == 1.0 else z * (1.0 / r)
+        s = 1.0 - np.abs(zeta) ** 2
+        near = np.abs(s) <= NEAR
+        if near.any():
+            m = _modulus(z[near])
+            s[near] = (r - m) / r * ((r + m) / r)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.abs(X[:, 0]) * np.abs(1.0 + zeta) * np.abs(1.0 - zeta)
-            vals /= 2.0 * r * zeta.imag * (s / r**2)
-        return _masked(vals, (Z[:, 0].imag > 0.0) & (s > 0.0))
+            vals /= 2.0 * r * zeta.imag * s
+        return _masked(vals, (z.imag > 0.0) & (s > 0.0))
 
     def sample(self, seed, count, shrink):
         return sampling.halfdisc_points(seed, count, self.radius * shrink)[:, None]
@@ -328,7 +336,8 @@ class Ball(Domain):
         return 1.0 - _point_norm(coords.tolist())
 
     def contains_rows(self, Z):
-        return _norm(Z) < 1.0
+        with np.errstate(over="ignore"):  # a square past the double range is inf: no member
+            return _norm(Z) < 1.0
 
     def distance(self, Z, W):
         if self.n == 1:  # the disc, whose form has no projection w - Pw to cancel
@@ -372,8 +381,9 @@ class Polydisc(Domain):
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
-        if len(radii) < 1 or not all(0.0 < r < math.inf for r in radii):
-            raise ValueError("polydisc radii must be finite and positive")
+        # normal radii: the distances scale by 1/radius, which overflows below
+        if len(radii) < 1 or not all(2.0**-1022 <= r < math.inf for r in radii):
+            raise ValueError("polydisc radii must be finite and at least 2^-1022")
         object.__setattr__(self, "radii", radii)
 
     dim = property(lambda self: len(self.radii))
@@ -458,7 +468,7 @@ class Product(Domain):
         def core(Z, X):
             Z = np.atleast_2d(np.asarray(Z, dtype=complex))
             X = np.atleast_2d(np.asarray(X, dtype=complex))
-            return np.max(np.stack([c(Z[:, s], X[:, s]) for c, s in parts]), axis=0)
+            return reduce(np.maximum, (c(Z[:, s], X[:, s]) for c, s in parts))
 
         return core
 
@@ -504,7 +514,8 @@ class BallIntersection(Domain):
         return self._from_center(coords) < self.radius and self.base.contains(coords)
 
     def contains_rows(self, Z):
-        cap = _norm(Z - self.center_coords) < self.radius
+        with np.errstate(over="ignore"):  # as in Ball.contains_rows
+            cap = _norm(Z - self.center_coords) < self.radius
         return cap & self.base.contains_rows(Z)
 
     cap_nonempty = _center_inside
@@ -539,7 +550,8 @@ class ReinhardtEllipsoid(Domain):
         return max(r.tolist()) < 1.0 and float(_across(np.add, r**self.doubled)) < 1.0
 
     def contains_rows(self, Z):
-        return _across(np.add, np.abs(Z) ** self.doubled) < 1.0
+        with np.errstate(over="ignore"):  # as in Ball.contains_rows
+            return _across(np.add, np.abs(Z) ** self.doubled) < 1.0
 
     cap_nonempty = _center_inside
 

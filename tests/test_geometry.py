@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,26 @@ def test_contains_batch_agrees_with_scalar():
     assert list(got) == expected
 
 
+@pytest.mark.parametrize("rows", [1, 40], ids=["point", "batch"])
+@pytest.mark.parametrize("dom, anchor", MEMBERS, ids=lambda m: repr(m)[:40])
+def test_batch_membership_of_huge_rows_warns_of_no_overflow(dom, anchor, rows):
+    # a square or power past the double range is inf, which compares false;
+    # only a half-plane coordinate may be huge in a member
+    for huge in (1e200, -1.7e308, complex(1e308, 1e308)):
+        for k in range(dimension(dom)):
+            P = np.tile(np.asarray(anchor, dtype=complex), (rows, 1))
+            P[:, k] = huge
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = contains_batch(dom, P)
+            try:
+                want = contains(dom, P[0])
+            except OverflowError:  # Python's abs past the double range: no member
+                want = False
+            assert got.tolist() == [want] * rows, (dom, P[0])
+            assert not want or huge.imag > 0.0
+
+
 NON_FINITE = [complex(0, math.inf), complex(math.inf, 1), math.inf * 1j, complex(math.nan, 1)]
 
 
@@ -460,6 +481,10 @@ def test_point_validation():
     assert math.isfinite(1.0 / HalfDiscScaled(2.0**-1022).radius)
     with pytest.raises(ValueError):
         Polydisc((1.0, -1.0))
+    for bad in (0.0, 5e-324, 1e-310, 2.0**-1023):  # as for the half-disc
+        with pytest.raises(ValueError, match="2\\^-1022"):
+            Polydisc((bad, 1.0))
+    assert Polydisc((2.0**-1022, 1.0)).radii[0] == 2.0**-1022
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             Polydisc((bad, 1.0))

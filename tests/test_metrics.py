@@ -279,6 +279,20 @@ def test_density_cores_agree_with_membership():
     assert 0.0 < kobayashi_royden_density(HalfDiscScaled(1.0), z, 1.0) < math.inf
 
 
+def test_halfdisc_density_is_scale_invariant_down_to_tiny_radii():
+    # 1 - |zeta|^2 is formed from zeta = z / r, so no square of z underflows
+    want = kobayashi_density(HalfDiscScaled(1.0)).evaluate_batch([[0.5j]], [[1.0]])[0]
+    assert want == pytest.approx(5.0 / 3.0, rel=1e-15)
+    for r in (0.3, 1e-100, 1e-200, 1e-300, 2.0**-1022):
+        dens = kobayashi_density(HalfDiscScaled(r))
+        got = dens.evaluate_batch([[0.5j * r], [(0.2 + 0.7j) * r], [2j * r]], [[r]] * 3)
+        assert got[0] == pytest.approx(want, rel=8e-16), r
+        assert got[1] == pytest.approx(
+            kobayashi_density(HalfDiscScaled(1.0)).evaluate(0.2 + 0.7j, 1.0), rel=8e-16
+        ), r
+        assert got[2] == math.inf, r
+
+
 def test_halfplane_density_is_infinite_at_non_finite_points():
     Z = np.array([[complex(math.inf, 1)], [math.inf * 1j], [complex(0, math.inf)], [1j]])
     X = np.ones_like(Z)

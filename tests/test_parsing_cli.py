@@ -139,6 +139,15 @@ def test_cli_refuses_a_point_past_the_square_range_by_name(argv, capsys):
     assert captured.out == ""
 
 
+def test_cli_refuses_a_subnormal_polydisc_radius_by_name(capsys):
+    # 1/radius overflows below 2^-1022, so the distance would be NaN
+    argv = ["distance", "--domain", "polydisc:r=1e-310,1", "--z", "0.5e-310,0.2", "--w", "0.25e-310,0.1"]
+    assert cli.run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --domain:") and "2^-1022" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cli_bergman_names_the_flag_at_fault(capsys):
     # too deep for the double range (171!, 0.5^1200) or negative: --truncation
     for domain, N in (("ball:n=2", "180"), ("polydisc:r=0.5,0.5", "600"), ("disc", "-1")):
