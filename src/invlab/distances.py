@@ -9,10 +9,10 @@ the automorphism moving one point to the origin (rows with z = 0 take -w,
 written over the automorphism's value only where there are such rows);
 polydiscs and products take the max over factors.
 
-A pair of the unit half-disc is not scaled.  Any other scaling to a unit
-member (the half-disc of radius r, each polydisc coordinate) is a product with
-the reciprocal 1 / radius: numpy divides a complex array by a real one through
-that reciprocal, so the bits are those of z / radius, the sign of a zero aside.
+A half-disc pair of radius r reduces to the unit member by ``geometry._unit``,
+a product with 1 / r (none at r = 1); a polydisc coordinate is multiplied by
+the reciprocal of its radius.  numpy divides complex by real through that
+reciprocal, so the bits are those of z / r, the sign of a zero aside.
 
 atanh is evaluated as log(1 + m) - log(1 - m^2) / 2, with the complement
 1 - m^2 supplied by a cancellation-free closed form per domain:
@@ -69,6 +69,7 @@ from .geometry import (
     PointLike,
     _across,
     _modulus,
+    _unit,
     formula,
     member_coords,
     member_point,
@@ -162,10 +163,7 @@ def disc_distance_batch(z, w):
 
 def halfdisc_distance_batch(z, w, radius: float = 1.0):
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    if radius != 1.0:
-        s = 1.0 / radius
-        z, w = z * s, w * s
-    z, w, zw, zwbar, d1, d2 = _moduli(z, w)
+    z, w, zw, zwbar, d1, d2 = _moduli(_unit(z, radius), _unit(w, radius))
     disc = _disc_comp(np.abs(z) ** 2, np.abs(w) ** 2, d2**2)
     return _atanh_stable(*_halfdisc_parts(*_halfplane_parts(z.imag, w.imag, zw, zwbar), d1, d2, disc))
 
@@ -273,9 +271,7 @@ def halfplane_distance_pair(z: complex, w: complex) -> float | None:
 
 def halfdisc_distance_pair(z: complex, w: complex, radius: float = 1.0) -> float | None:
     """``halfdisc_distance_batch`` of one pair by the scalar pass; None where it declines."""
-    if radius != 1.0:  # as the batch core scales
-        s = 1.0 / radius
-        z, w = z * s, w * s
+    z, w = _unit(z, radius), _unit(w, radius)  # as the batch core scales
     zw, zwbar, d1, d2, az, aw = _pair_moduli(z, w)
     if not d2 > 1.0 / SAFE:
         return None
@@ -345,11 +341,9 @@ def localization_gap(z: PointLike, w: PointLike, radius: float = 1.0) -> GapDeco
     """
     dom = _UNIT_HALFDISC if radius == 1.0 else HalfDiscScaled(radius)
     z, w = member_point(dom, z, "z"), member_point(dom, w, "w")
-    zs, ws, unscaled = z, w, ()
-    if radius != 1.0:  # as the batch core scales
-        s = 1.0 / radius
-        # the half-plane distance is that of the unscaled pair
-        zs, ws, unscaled = z * s, w * s, (z - w, z - w.conjugate())
+    zs, ws = _unit(z, radius), _unit(w, radius)  # as the batch core scales
+    # the half-plane distance is that of the unscaled pair
+    unscaled = () if radius == 1.0 else (z - w, z - w.conjugate())
     moduli = _pair_moduli(zs, ws, *unscaled)
     if not moduli[3] > 1.0 / SAFE:  # declined: numpy scalars
         moduli = list(np.array(moduli))

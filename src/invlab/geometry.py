@@ -76,7 +76,8 @@ FEW_ROWS = 32  # below this many rows numpy's own reduction is the faster one
 
 def _across(ufunc: np.ufunc, A: np.ndarray) -> np.ndarray:
     """``ufunc.reduce(A, axis=-1)`` bit for bit (a NaN's sign aside), one
-    coordinate column at a time where that is faster.
+    coordinate column at a time where that is faster.  A zero max or min equals
+    numpy's by value only: numpy's sign for it follows its SIMD dispatch.
 
     numpy reduces a short last axis row by row, many times slower than one
     ufunc call per column once a batch has a few dozen rows.  Below 8 real
@@ -122,17 +123,28 @@ def _modulus(Z: np.ndarray) -> np.ndarray:
     return np.hypot(Z.real, Z.imag)
 
 
+MIN_RADIUS = 2.0**-1022  # a normal radius: below it 1 / radius overflows
+
+
+def _unit(z, radius: float):
+    """z in the coordinates of the unit member: z itself at radius 1, else
+    z * (1 / radius), numpy's complex z / radius (the sign of a zero aside)."""
+    return z if radius == 1.0 else z * (1.0 / radius)
+
+
 NEAR = 2.0**-49  # 8 eps: closer to the boundary, complements are recomputed
 
 
 def _complement(r2: np.ndarray, Z: np.ndarray, modulus: Callable, radius=1.0) -> np.ndarray:
-    """radius^2 - r2 (numpy's |z|^2), positive exactly where ``contains_batch`` accepts:
-    within 8 eps of the boundary it is (radius - m)(radius + m), m = modulus(Z)."""
-    s = radius**2 - r2
-    near = np.abs(s) <= NEAR * radius**2
+    """1 - r2, r2 = |Z / radius|^2 formed in unit coordinates (no underflow at a
+    tiny radius), positive exactly where ``contains_batch`` accepts: within 8 eps
+    of the boundary it is ((r - m) / r)((r + m) / r), m = modulus(Z), where
+    r - m is exact and carries the sign of membership."""
+    s = 1.0 - r2
+    near = np.abs(s) <= NEAR
     if near.any():
         r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
-        s[near] = (r - m) * (r + m)
+        s[near] = (r - m) / r * ((r + m) / r)
     return s
 
 
@@ -270,8 +282,7 @@ class HalfDiscScaled(Domain):
     dim = 1
 
     def __post_init__(self):
-        # a normal radius: the distances scale by 1/radius, which overflows below
-        if not (2.0**-1022 <= self.radius <= 1.0):
+        if not (MIN_RADIUS <= self.radius <= 1.0):
             raise ValueError("half-disc radius must lie in [2^-1022, 1]")
 
     def signed(self, coords):
@@ -299,17 +310,10 @@ class HalfDiscScaled(Domain):
         # the half-plane density pulled back through f = ((z + 1)/(z - 1))^2:
         # |f'| / (2 Im f) at zeta = z / r, with Im f(zeta) = 4 (1 - |zeta|^2)
         # Im zeta / |zeta - 1|^4 in closed form, free of the cancellation in
-        # Im f at the arc.  1 - |zeta|^2 is formed from zeta, so no square of
-        # a point of a tiny half-disc underflows; within 8 eps of the arc it is
-        # ((r - m) / r)((r + m) / r), m = |z|, where r - m is exact and carries
-        # the sign of membership, as (r - m)(r + m) does in ``_complement``
+        # Im f at the arc
         r, z = self.radius, Z[:, 0]
-        zeta = z if r == 1.0 else z * (1.0 / r)
-        s = 1.0 - np.abs(zeta) ** 2
-        near = np.abs(s) <= NEAR
-        if near.any():
-            m = _modulus(z[near])
-            s[near] = (r - m) / r * ((r + m) / r)
+        zeta = _unit(z, r)
+        s = _complement(np.abs(zeta) ** 2, z, _modulus, r)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.abs(X[:, 0]) * np.abs(1.0 + zeta) * np.abs(1.0 - zeta)
             vals /= 2.0 * r * zeta.imag * s
@@ -381,8 +385,7 @@ class Polydisc(Domain):
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
-        # normal radii: the distances scale by 1/radius, which overflows below
-        if len(radii) < 1 or not all(2.0**-1022 <= r < math.inf for r in radii):
+        if len(radii) < 1 or not all(MIN_RADIUS <= r < math.inf for r in radii):
             raise ValueError("polydisc radii must be finite and at least 2^-1022")
         object.__setattr__(self, "radii", radii)
 
@@ -400,20 +403,19 @@ class Polydisc(Domain):
     def distance(self, Z, W):
         return distances.polydisc_distance_batch(Z, W, self.radii)
 
+    # the unit disc's densities at zeta = z / r per coordinate, times 1 / r
     def kobayashi(self, Z, X):
-        radii = np.asarray(self.radii)
-        s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
+        inv = 1.0 / np.asarray(self.radii)
+        s = _complement(np.abs(Z * inv) ** 2, Z, _modulus, self.radii)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per = radii * np.abs(X) / s
-            vals = _across(np.maximum, per)
+            vals = _across(np.maximum, np.abs(X) * inv / s)
         return _masked(vals, _across(np.logical_and, s > 0.0))
 
     def bergman(self, Z, X):
-        radii = np.asarray(self.radii)
-        s = _complement(np.abs(Z) ** 2, Z, _modulus, radii)
+        inv = 1.0 / np.asarray(self.radii)
+        s = _complement(np.abs(Z * inv) ** 2, Z, _modulus, self.radii)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per = 2.0 * (radii * np.abs(X)) ** 2 / s**2
-            vals = np.sqrt(_across(np.add, per))
+            vals = np.sqrt(_across(np.add, 2.0 * (np.abs(X) * inv) ** 2 / s**2))
         return _masked(vals, _across(np.logical_and, s > 0.0))
 
     def moments(self, rows):

@@ -1,5 +1,6 @@
-"""The batch distance cores make only the passes their formulas need, and
-return the bits they returned when they made more.
+"""The batch distance cores make only the passes their formulas need, and the
+densities of scaled members are formed in unit coordinates; both return the
+bits of their earlier bodies.
 
 The reference copies below are the earlier bodies:
 
@@ -7,17 +8,24 @@ The reference copies below are the earlier bodies:
 * the polydisc core divided its complex arrays by the real radii;
 * the ball core selected the origin rows' -w with two whole-array
   ``np.where`` calls;
-* the product core stacked its factors' values to take ``np.max`` over them.
+* the product core stacked its factors' values to take ``np.max`` over them;
+* the disc, ball and polydisc densities took the complement r^2 - |z|^2, with
+  (r - m)(r + m) within 8 eps r^2 of the boundary, and the polydisc's were
+  r |X| / s and sqrt(sum 2 (r |X|)^2 / s^2);
+* the half-disc density formed its own 1 - |z / r|^2 and its own 8 eps band.
 
 numpy divides a complex array by a real one through the reciprocal of the
 real, so the cores' product with ``1.0 / radius`` agrees with that division
-on finite inputs, the sign of a zero aside, which no modulus reads.  The
-copies are compared bit for bit, warnings included, on the benchmark's
-members Ball(2), Polydisc((1.0, 0.5)) and UnitDisc x HalfPlane and on the
-half-disc at radius 1 and 0.3: at 1, 2048 and 20,000 rows (numpy elides
-temporaries from 16,384 rows), on interior rows, rows within 1e-12 of the
-boundary, rows with a real or imaginary part +0 or -0, and, for the ball,
-rows at z = 0.
+on finite inputs, the sign of a zero aside, which no modulus reads.  Unit
+coordinates move no bit at radius 1, nor at a power-of-two radius, which
+scales every step exactly.  The copies are compared bit for bit, warnings
+included, on the benchmark's members Ball(2), Polydisc((1.0, 0.5)) and
+UnitDisc x HalfPlane, on the half-disc at radius 1 and 0.3, and for the
+densities also on the disc and Polydisc((0.25, 2.0)): at 1, 2048 and 20,000
+rows (numpy elides temporaries from 16,384 rows), on interior rows, rows
+within 1e-12 of the boundary, rows in the 8 eps band (some rounding onto or
+past the boundary), rows with a real or imaginary part +0 or -0, and, for the
+ball's distance, rows at z = 0.
 """
 
 import math
@@ -28,9 +36,22 @@ import pytest
 
 from invlab import distances
 from invlab.distances import _atanh_stable, distance_batch
-from invlab.geometry import Ball, HalfPlane, Polydisc, Product, UnitDisc, _across, formula
+from invlab.geometry import (
+    Ball,
+    HalfDiscScaled,
+    HalfPlane,
+    Polydisc,
+    Product,
+    UnitDisc,
+    _across,
+    _masked,
+    _modulus,
+    _norm,
+    formula,
+)
 
 ROWS = (1, 2048, 20_000)
+NEAR = ("boundary", "band")  # the families of rows near the boundary
 
 
 # --------------------------------------------------------------------------
@@ -79,6 +100,73 @@ def _ref_product_distance(domain):
     return core
 
 
+def _ref_complement(r2, Z, modulus, radius=1.0):
+    s = radius**2 - r2
+    near = np.abs(s) <= 2.0**-49 * radius**2
+    if near.any():
+        r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
+        s[near] = (r - m) * (r + m)
+    return s
+
+
+def _ref_disc_kobayashi(Z, X):
+    s = _ref_complement(np.abs(Z[:, 0]) ** 2, Z[:, 0], _modulus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.abs(X[:, 0]) / s
+    return _masked(vals, s > 0.0)
+
+
+def _ref_ball_kobayashi(Z, X):
+    nz2 = _across(np.add, np.abs(Z) ** 2)
+    s2 = _ref_complement(nz2, Z, _norm)
+    ip = _across(np.add, X * np.conj(Z))
+    nx2 = _across(np.add, np.abs(X) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p2 = np.where(nz2 > 0.0, np.abs(ip) ** 2 / np.where(nz2 > 0, nz2, 1.0), 0.0)
+        q2 = np.maximum(nx2 - p2, 0.0)
+        vals = np.sqrt(p2 + s2 * q2) / s2
+    return _masked(vals, s2 > 0.0)
+
+
+def _ref_halfdisc_kobayashi(radius):
+    def core(Z, X):
+        r, z = radius, Z[:, 0]
+        zeta = z if r == 1.0 else z * (1.0 / r)
+        s = 1.0 - np.abs(zeta) ** 2
+        near = np.abs(s) <= 2.0**-49
+        if near.any():
+            m = _modulus(z[near])
+            s[near] = (r - m) / r * ((r + m) / r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.abs(X[:, 0]) * np.abs(1.0 + zeta) * np.abs(1.0 - zeta)
+            vals /= 2.0 * r * zeta.imag * s
+        return _masked(vals, (z.imag > 0.0) & (s > 0.0))
+
+    return core
+
+
+def _ref_polydisc_kobayashi(radii):
+    def core(Z, X):
+        r = np.asarray(radii)
+        s = _ref_complement(np.abs(Z) ** 2, Z, _modulus, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = _across(np.maximum, r * np.abs(X) / s)
+        return _masked(vals, _across(np.logical_and, s > 0.0))
+
+    return core
+
+
+def _ref_polydisc_bergman(radii):
+    def core(Z, X):
+        r = np.asarray(radii)
+        s = _ref_complement(np.abs(Z) ** 2, Z, _modulus, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.sqrt(_across(np.add, 2.0 * (r * np.abs(X)) ** 2 / s**2))
+        return _masked(vals, _across(np.logical_and, s > 0.0))
+
+    return core
+
+
 # --------------------------------------------------------------------------
 # inputs: (m, n) member rows of each family
 # --------------------------------------------------------------------------
@@ -88,8 +176,13 @@ def _disc(rng, m, radius=1.0):
     return radius * rho * np.exp(1j * rng.uniform(-math.pi, math.pi, m))
 
 
-def _circle(rng, m, radius=1.0):
-    rho = 1.0 - rng.uniform(1e-15, 1e-12, m)
+def _gap(rng, m, family):
+    """1 - |z| / r of rows near the boundary: within 1e-12, or in the 8 eps band."""
+    return rng.uniform(0.0, 2.0**-50, m) if family == "band" else rng.uniform(1e-15, 1e-12, m)
+
+
+def _circle(rng, m, radius=1.0, family="boundary"):
+    rho = 1.0 - _gap(rng, m, family)
     return radius * rho * np.exp(1j * rng.uniform(-math.pi, math.pi, m))
 
 
@@ -114,8 +207,8 @@ def _signed_zeros(rng, Z):
 
 
 def _ball(rng, m, family):
-    if family == "boundary":
-        return _sphere(rng, m, 2, 1.0 - rng.uniform(1e-15, 1e-12, m))
+    if family in NEAR:
+        return _sphere(rng, m, 2, 1.0 - _gap(rng, m, family))
     Z = _sphere(rng, m, 2, np.sqrt(rng.uniform(0.0, 1.0, m)) * (1.0 - 1e-9))
     if family == "zeros":
         return _signed_zeros(rng, Z)
@@ -127,16 +220,18 @@ def _ball(rng, m, family):
     return Z
 
 
-def _polydisc(rng, m, family):
-    pick = _circle if family == "boundary" else _disc
-    Z = np.stack([pick(rng, m, 1.0), pick(rng, m, 0.5)], axis=1)
+def _polydisc(rng, m, family, radii=(1.0, 0.5)):
+    if family in NEAR:
+        Z = np.stack([_circle(rng, m, r, family) for r in radii], axis=1)
+    else:
+        Z = np.stack([_disc(rng, m, r) for r in radii], axis=1)
     return _signed_zeros(rng, Z) if family == "zeros" else Z
 
 
 def _product(rng, m, family):
-    if family == "boundary":
+    if family in NEAR:
         x = rng.uniform(-2.0, 2.0, m)
-        Z = np.stack([_circle(rng, m), x + 1j * rng.uniform(1e-15, 1e-12, m)], axis=1)
+        Z = np.stack([_circle(rng, m, 1.0, family), x + 1j * rng.uniform(1e-15, 1e-12, m)], axis=1)
     else:
         y = np.exp(rng.uniform(-3.0, 3.0, m))
         Z = np.stack([_disc(rng, m), rng.uniform(-3.0, 3.0, m) + 1j * y], axis=1)
@@ -144,8 +239,8 @@ def _product(rng, m, family):
 
 
 def _halfdisc(rng, m, family, radius):
-    if family == "boundary":  # half near the arc, half near the real segment
-        arc = _upper(_circle(rng, m, radius))
+    if family in NEAR:  # half near the arc, half near the real segment
+        arc = _upper(_circle(rng, m, radius, family))
         segment = radius * (rng.uniform(-1.0, 1.0, m) + 1j * rng.uniform(1e-15, 1e-12, m))
         Z = np.where(np.arange(m) % 2 == 0, arc, segment)
     else:
@@ -171,7 +266,26 @@ for _r in (1.0, 0.3):
         lambda Z, W, r=_r: _ref_halfdisc_distance_batch(Z[:, 0], W[:, 0], r),
     )
 
-FAMILIES = ("interior", "boundary", "zeros", "origin")
+DISC = UnitDisc()
+CASES["disc-kobayashi"] = (
+    lambda rng, m, f: _polydisc(rng, m, f, (1.0,)), DISC.kobayashi, _ref_disc_kobayashi
+)
+CASES["ball-kobayashi"] = (_ball, BALL.kobayashi, _ref_ball_kobayashi)
+for _r in (1.0, 0.3):
+    CASES[f"halfdisc-r{_r}-kobayashi"] = (
+        lambda rng, m, f, r=_r: _halfdisc(rng, m, f, r),
+        HalfDiscScaled(_r).kobayashi,
+        _ref_halfdisc_kobayashi(_r),
+    )
+for _p in (POLYDISC, Polydisc((0.25, 2.0))):
+    for _name, _ref in (("kobayashi", _ref_polydisc_kobayashi), ("bergman", _ref_polydisc_bergman)):
+        CASES[f"polydisc{_p.radii}-{_name}"] = (
+            lambda rng, m, f, radii=_p.radii: _polydisc(rng, m, f, radii),
+            formula(_p, _name),
+            _ref(_p.radii),
+        )
+
+FAMILIES = ("interior", "boundary", "zeros", "origin", "band")
 PARAMS = [
     (name, family, rows)
     for name in CASES
@@ -204,6 +318,7 @@ def test_cores_keep_the_bits_of_their_earlier_passes(name, family, rows):
     points, core, ref = CASES[name]
     seed = 4100 + 10 * list(CASES).index(name) + FAMILIES.index(family)
     rng = np.random.default_rng(seed)
+    # a density core reads W as its tangent vector X
     Z, W = points(rng, rows, family), points(rng, rows, family)
     got, got_warned = _recorded(core, Z, W)
     want, want_warned = _recorded(ref, Z, W)

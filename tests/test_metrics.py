@@ -279,16 +279,24 @@ def test_density_cores_agree_with_membership():
     assert 0.0 < kobayashi_royden_density(HalfDiscScaled(1.0), z, 1.0) < math.inf
 
 
-def test_halfdisc_density_is_scale_invariant_down_to_tiny_radii():
+def test_scaled_densities_are_scale_invariant_down_to_tiny_radii():
     # 1 - |zeta|^2 is formed from zeta = z / r, so no square of z underflows
     want = kobayashi_density(HalfDiscScaled(1.0)).evaluate_batch([[0.5j]], [[1.0]])[0]
-    assert want == pytest.approx(5.0 / 3.0, rel=1e-15)
-    for r in (0.3, 1e-100, 1e-200, 1e-300, 2.0**-1022):
+    assert want == pytest.approx(5.0 / 3.0, rel=1e-15, abs=0.0)
+    zeta, xi = np.array([0.5, 0.2 + 0.3j]), np.array([1.0, 0.5j])
+    unit = Polydisc((1.0, 1.0))
+    densities = (kobayashi_density, bergman_density)
+    polydisc_want = [d(unit).evaluate_batch([zeta], [xi])[0] for d in densities]
+    for r in (1.0, 0.3, 1e-100, 1e-150, 1e-200, 1e-300, 2.0**-1022):
+        poly = Polydisc((r, r))
+        for density, value in zip(densities, polydisc_want):
+            got = density(poly).evaluate_batch([zeta * r], [xi * r])[0]
+            assert got == pytest.approx(value, rel=8e-16, abs=0.0), (density.__name__, r)
         dens = kobayashi_density(HalfDiscScaled(r))
         got = dens.evaluate_batch([[0.5j * r], [(0.2 + 0.7j) * r], [2j * r]], [[r]] * 3)
-        assert got[0] == pytest.approx(want, rel=8e-16), r
+        assert got[0] == pytest.approx(want, rel=8e-16, abs=0.0), r
         assert got[1] == pytest.approx(
-            kobayashi_density(HalfDiscScaled(1.0)).evaluate(0.2 + 0.7j, 1.0), rel=8e-16
+            kobayashi_density(HalfDiscScaled(1.0)).evaluate(0.2 + 0.7j, 1.0), rel=8e-16, abs=0.0
         ), r
         assert got[2] == math.inf, r
 

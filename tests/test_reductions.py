@@ -1,11 +1,15 @@
 """Reductions over the coordinate axis: ``geometry._across`` is numpy's own
 reduction bit for bit, so every core routed through it returns the bits it
 returned with ``np.sum``/``np.max``/``np.all``/``np.linalg.norm`` over axis 1.
+A zero max or min is numpy's by value: numpy's sign for it follows its SIMD
+dispatch, and ``_across`` gives the sign of its column chain under both.
 
 Summation order matters only from three coordinates on, which the verify
 report, the committed tables and the benchmark never reach; the reference
 copies below are those reductions as numpy computes them, checked in three
-dimensions, near the boundary included.
+dimensions, near the boundary included.  They carry their own copy of the
+complement in unit coordinates, so a change to ``geometry._complement``
+shows here.
 """
 
 import math
@@ -27,7 +31,6 @@ from invlab.geometry import (
     FEW_ROWS,
     UnitDisc,
     _across,
-    _complement,
     _masked,
     _modulus,
     boundary_distance,
@@ -63,7 +66,15 @@ _ELEMENTS = {
 }
 
 
-@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.logical_and], ids=lambda u: u.__name__)
+def _zero_by_value(a, ufunc):
+    """a with +0 for -0 where ``ufunc`` is a max or min, whose zero's sign
+    numpy's own reduction takes from its SIMD dispatch."""
+    return a + 0.0 if ufunc in (np.maximum, np.minimum) and a.dtype.kind in "fc" else a
+
+
+@pytest.mark.parametrize(
+    "ufunc", [np.add, np.maximum, np.minimum, np.logical_and], ids=lambda u: u.__name__
+)
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(sorted(_ELEMENTS)),
@@ -85,8 +96,25 @@ def test_across_is_numpys_reduction_bit_for_bit(ufunc, kind, n, rows, seed, data
         with np.errstate(all="ignore"):
             expected = ufunc.reduce(A, axis=-1)
             got = _across(ufunc, A)
-        assert _same(got, expected)
+        assert _same(_zero_by_value(got, ufunc), _zero_by_value(expected, ufunc))
         assert not np.shares_memory(got, A)
+
+
+@pytest.mark.parametrize(
+    "ufunc, last, want",
+    [(np.maximum, -math.inf, -0.0), (np.minimum, -math.inf, -math.inf),
+     (np.maximum, math.inf, math.inf), (np.minimum, math.inf, -0.0)],
+    ids=lambda p: getattr(p, "__name__", str(p)),
+)
+def test_across_gives_a_zero_max_or_min_the_sign_of_its_column_chain(ufunc, last, want):
+    # where the row's max or min is a zero, numpy's own reduction gives it +0
+    # under its dispatch without AVX-512 and -0 under AVX-512; the column
+    # chain gives -0 under both
+    A = np.ones((FEW_ROWS, 5))
+    A[0] = [0.0, 0.0, 0.0, -0.0, last]
+    got = _across(ufunc, A)
+    assert _same(got[0], np.float64(want))
+    assert _same(_zero_by_value(got, ufunc), _zero_by_value(ufunc.reduce(A, axis=-1), ufunc))
 
 
 # --------------------------------------------------------------------------
@@ -97,9 +125,19 @@ def _ref_norm(Z):
     return np.sqrt(np.add.reduce(Z.real**2 + Z.imag**2, axis=-1))
 
 
+def _ref_complement(r2, Z, modulus, radius=1.0):
+    # 1 - r2 in unit coordinates, ((r - m) / r)((r + m) / r) within 8 eps of the boundary
+    s = 1.0 - r2
+    near = np.abs(s) <= 2.0**-49
+    if near.any():
+        r, m = np.broadcast_to(radius, s.shape)[near], modulus(Z[near])
+        s[near] = (r - m) / r * ((r + m) / r)
+    return s
+
+
 def _ref_ball_kobayashi(Z, X):
     nz2 = np.sum(np.abs(Z) ** 2, axis=1)
-    s2 = _complement(nz2, Z, _ref_norm)
+    s2 = _ref_complement(nz2, Z, _ref_norm)
     ip = np.sum(X * np.conj(Z), axis=1)
     nx2 = np.sum(np.abs(X) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,20 +163,21 @@ def _ref_ball_distance(Z, W):
 
 def _ref_polydisc(radii):
     r = np.asarray(radii)
+    inv = 1.0 / r
 
     def contains_rows(Z):
         return np.all(_modulus(Z) < r, axis=1)
 
     def kobayashi(Z, X):
-        s = _complement(np.abs(Z) ** 2, Z, _modulus, r)
+        s = _ref_complement(np.abs(Z * inv) ** 2, Z, _modulus, r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.max(r * np.abs(X) / s, axis=1)
+            vals = np.max(np.abs(X) * inv / s, axis=1)
         return _masked(vals, np.all(s > 0.0, axis=1))
 
     def bergman(Z, X):
-        s = _complement(np.abs(Z) ** 2, Z, _modulus, r)
+        s = _ref_complement(np.abs(Z * inv) ** 2, Z, _modulus, r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.sqrt(np.sum(2.0 * (r * np.abs(X)) ** 2 / s**2, axis=1))
+            vals = np.sqrt(np.sum(2.0 * (np.abs(X) * inv) ** 2 / s**2, axis=1))
         return _masked(vals, np.all(s > 0.0, axis=1))
 
     def distance(Z, W):
